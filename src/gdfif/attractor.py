@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .maps import GifsSystem, apply_map, transform_points
 
@@ -78,8 +77,11 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     never moves a point; it only thins clusters closer than about tol.
     """
     keys = np.round(points / tol).astype(np.int64)
-    _, index = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(index)]
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return points[np.sort(order[first])]
 
 
 def iterate_attractor(
@@ -164,6 +166,8 @@ def chaos_game(
 
 def directed_hausdorff(p_points, q_points) -> float:
     """max over p of min over q of the max-norm distance."""
+    from scipy.spatial import cKDTree  # imported here so `import gdfif` does not pay for scipy
+
     P = _as_point_array(p_points)
     Q = _as_point_array(q_points)
     dists, _ = cKDTree(Q).query(P, k=1, p=np.inf)

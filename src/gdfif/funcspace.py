@@ -150,7 +150,7 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
 
     Each interval's block is computed from its wired source function via the
     pullback t = (x - e) / a. Both one-sided values at every knot agree with
-    the knot ordinate up to round-off (this is asserted), and the knot
+    the knot ordinate up to round-off (ValueError otherwise), and the knot
     samples are then written exactly, so the result is admissible and
     interpolates all knots from the first application on.
     """
@@ -179,9 +179,10 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
             lo = (i - 1) * (resolution - 1)
             grid[lo:lo + resolution] = block_x
             values[lo:lo + resolution] = block_v
-        assert worst_knot_dev <= 1e-6 * scale, (
-            f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
-        )
+        if not worst_knot_dev <= 1e-6 * scale:
+            raise ValueError(
+                f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
+            )
         knot_pos = np.arange(k + 1) * (resolution - 1)
         values[knot_pos] = ds.fs
         out.append(SampledFunction(alpha, grid, values))

@@ -54,27 +54,19 @@ def export_csv(path, family=None, clouds=None) -> None:
     Exactly one of `family` (curve samples) or `clouds` (attractor points)
     must be given. 17 significant digits round-trip every float exactly.
     """
-    rows = _collect_rows(family, clouds)
-    rows.sort()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("vertex,x,y\n")
-        for vertex, x, y in rows:
-            fh.write(f"{vertex},{x:.17g},{y:.17g}\n")
-
-
-def _collect_rows(family, clouds) -> list[tuple[int, float, float]]:
     if (family is None) == (clouds is None):
         raise ValueError("pass exactly one of family or clouds")
-    rows: list[tuple[int, float, float]] = []
     if family is not None:
-        for fn in family:
-            for x, y in zip(fn.grid, fn.values):
-                rows.append((fn.vertex, float(x), float(y)))
+        parts = [(np.full(fn.grid.size, fn.vertex), fn.grid, fn.values) for fn in family]
     else:
-        for cloud in clouds:
-            for x, y in cloud.points:
-                rows.append((cloud.vertex, float(x), float(y)))
-    return rows
+        parts = [(np.full(len(c), c.vertex), c.points[:, 0], c.points[:, 1]) for c in clouds]
+    vertex, x, y = (np.concatenate(col) for col in zip(*parts)) if parts else (np.empty(0),) * 3
+    # Stable, and -0.0 ties with 0.0, exactly as sorting (vertex, x, y) tuples does.
+    order = np.lexsort((y, x, vertex))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("vertex,x,y\n")
+        fh.writelines(map("{},{:.17g},{:.17g}\n".format,
+                          vertex[order].tolist(), x[order].tolist(), y[order].tolist()))
 
 
 def _content_by_vertex(datasets, family, clouds):
@@ -130,14 +122,17 @@ class _Panel:
         self.px0, self.py0, self.pw, self.ph = px0, py0, pw, ph
         self.x_range, self.y_range = x_range, y_range
 
-    def to_px(self, x, y):
-        fx = (x - self.x_range[0]) / (self.x_range[1] - self.x_range[0])
-        fy = (y - self.y_range[0]) / (self.y_range[1] - self.y_range[0])
-        return self.px0 + fx * self.pw, self.py0 + (1.0 - fy) * self.ph
+    def project(self, points):
+        """Clip a (k, 2) array to the closed axis ranges, then map it to pixels.
 
-    def inside(self, x, y):
-        return (self.x_range[0] <= x <= self.x_range[1]
-                and self.y_range[0] <= y <= self.y_range[1])
+        Returns the indices of the kept rows and their pixel x and y arrays.
+        """
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        x, y = points[:, 0], points[:, 1]
+        kept = np.flatnonzero((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+        fx = (x[kept] - x0) / (x1 - x0)
+        fy = (y[kept] - y0) / (y1 - y0)
+        return kept, self.px0 + fx * self.pw, self.py0 + (1.0 - fy) * self.ph
 
 
 def _layout(content, spec: PlotSpec):
@@ -187,10 +182,8 @@ def render_svg(path, spec: PlotSpec = PlotSpec(), datasets=None, family=None, cl
                     f'stroke-width="1.4"/>'
                 )
         if entry["data"] is not None:
-            for x, y in entry["data"]:
-                if not panel.inside(x, y):
-                    continue
-                px, py = panel.to_px(x, y)
+            _, pxs, pys = panel.project(entry["data"])
+            for px, py in zip(pxs.tolist(), pys.tolist()):
                 parts.append(
                     f'<circle class="knot" cx="{px:.3f}" cy="{py:.3f}" '
                     f'r="{spec.point_radius:.3f}" fill="none" stroke="#222222" '
@@ -204,29 +197,20 @@ def render_svg(path, spec: PlotSpec = PlotSpec(), datasets=None, family=None, cl
 
 def _dot_paths(points, panel, chunk_size=2000):
     """Cloud dots as zero-length path segments, chunked to keep lines sane."""
-    moves = []
-    for x, y in points:
-        if not panel.inside(x, y):
-            continue
-        px, py = panel.to_px(x, y)
-        moves.append(f"M{px:.2f} {py:.2f}h0")
+    _, px, py = panel.project(points)
+    moves = list(map("M{:.2f} {:.2f}h0".format, px.tolist(), py.tolist()))
     for lo in range(0, len(moves), chunk_size):
         yield "".join(moves[lo:lo + chunk_size])
 
 
 def _polyline_runs(curve, panel):
     """Curve samples as runs of consecutive in-range points."""
-    grid, values = curve
-    run: list[str] = []
-    for x, y in zip(grid, values):
-        if panel.inside(x, y):
-            px, py = panel.to_px(x, y)
-            run.append(f"{px:.3f},{py:.3f}")
-        elif run:
-            yield " ".join(run)
-            run = []
-    if run:
-        yield " ".join(run)
+    kept, px, py = panel.project(np.column_stack(curve))
+    coords = list(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist()))
+    breaks = (np.flatnonzero(np.diff(kept) > 1) + 1).tolist()
+    for lo, hi in zip([0, *breaks], [*breaks, len(coords)]):
+        if hi > lo:
+            yield " ".join(coords[lo:hi])
 
 
 def render_pgm(path, spec: PlotSpec = PlotSpec(), clouds=None) -> None:
@@ -241,14 +225,11 @@ def render_pgm(path, spec: PlotSpec = PlotSpec(), clouds=None) -> None:
     panels = _layout(content, spec)
     img = np.full((spec.height, spec.width), 255, dtype=np.uint8)
     for alpha, entry in content.items():
-        panel = panels[alpha]
-        for x, y in entry["cloud"]:
-            if not panel.inside(x, y):
-                continue
-            px, py = panel.to_px(x, y)
-            col = min(max(int(round(px)), 0), spec.width - 1)
-            row = min(max(int(round(py)), 0), spec.height - 1)
-            img[row, col] = 0
+        _, px, py = panels[alpha].project(entry["cloud"])
+        # np.rint rounds half to even, as Python's round does.
+        cols = np.clip(np.rint(px), 0, spec.width - 1).astype(np.intp)
+        rows = np.clip(np.rint(py), 0, spec.height - 1).astype(np.intp)
+        img[rows, cols] = 0
     with open(path, "wb") as fh:
         fh.write(f"P5 {spec.width} {spec.height} 255\n".encode("ascii"))
         fh.write(img.tobytes())

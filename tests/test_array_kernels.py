@@ -1,0 +1,223 @@
+"""The array kernels for dedup and export against the per-point code they replaced.
+
+The reference functions below are the earlier scalar implementations, kept
+verbatim as oracles. The arithmetic is unchanged, so results must be equal
+array for array and byte for byte, on inputs chosen to hit every boundary:
+range ends, exact .5 pixel coordinates, clamped rows and columns, dedup cell
+boundaries, duplicates, signed zeros and ties in x.
+"""
+
+import numpy as np
+import pytest
+
+from gdfif import AttractorCloud, DataSet, PlotSpec, export_csv, fixed_point, render_pgm, render_svg
+from gdfif.attractor import _dedup
+from gdfif.render import _content_by_vertex, _layout
+
+
+def dedup_reference(points, tol):
+    keys = np.round(points / tol).astype(np.int64)
+    _, index = np.unique(keys, axis=0, return_index=True)
+    return points[np.sort(index)]
+
+
+def export_csv_reference(path, family=None, clouds=None):
+    rows = []
+    if family is not None:
+        for fn in family:
+            for x, y in zip(fn.grid, fn.values):
+                rows.append((fn.vertex, float(x), float(y)))
+    else:
+        for cloud in clouds:
+            for x, y in cloud.points:
+                rows.append((cloud.vertex, float(x), float(y)))
+    rows.sort()
+    with open(path, "w", newline="\n") as fh:
+        fh.write("vertex,x,y\n")
+        for vertex, x, y in rows:
+            fh.write(f"{vertex},{x:.17g},{y:.17g}\n")
+
+
+def _inside(panel, x, y):
+    return (panel.x_range[0] <= x <= panel.x_range[1]
+            and panel.y_range[0] <= y <= panel.y_range[1])
+
+
+def _to_px(panel, x, y):
+    fx = (x - panel.x_range[0]) / (panel.x_range[1] - panel.x_range[0])
+    fy = (y - panel.y_range[0]) / (panel.y_range[1] - panel.y_range[0])
+    return panel.px0 + fx * panel.pw, panel.py0 + (1.0 - fy) * panel.ph
+
+
+def render_pgm_reference(path, spec, clouds):
+    content = _content_by_vertex(None, None, clouds)
+    panels = _layout(content, spec)
+    img = np.full((spec.height, spec.width), 255, dtype=np.uint8)
+    for alpha, entry in content.items():
+        panel = panels[alpha]
+        for x, y in entry["cloud"]:
+            if not _inside(panel, x, y):
+                continue
+            px, py = _to_px(panel, x, y)
+            col = min(max(int(round(px)), 0), spec.width - 1)
+            row = min(max(int(round(py)), 0), spec.height - 1)
+            img[row, col] = 0
+    with open(path, "wb") as fh:
+        fh.write(f"P5 {spec.width} {spec.height} 255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+
+def _dot_paths_reference(points, panel, chunk_size=2000):
+    moves = []
+    for x, y in points:
+        if not _inside(panel, x, y):
+            continue
+        px, py = _to_px(panel, x, y)
+        moves.append(f"M{px:.2f} {py:.2f}h0")
+    for lo in range(0, len(moves), chunk_size):
+        yield "".join(moves[lo:lo + chunk_size])
+
+
+def _polyline_runs_reference(curve, panel):
+    grid, values = curve
+    run = []
+    for x, y in zip(grid, values):
+        if _inside(panel, x, y):
+            px, py = _to_px(panel, x, y)
+            run.append(f"{px:.3f},{py:.3f}")
+        elif run:
+            yield " ".join(run)
+            run = []
+    if run:
+        yield " ".join(run)
+
+
+def render_svg_reference(path, spec, datasets=None, family=None, clouds=None):
+    content = _content_by_vertex(datasets, family, clouds)
+    panels = _layout(content, spec)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
+        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+    ]
+    for alpha, entry in content.items():
+        panel = panels[alpha]
+        color = spec.color(alpha)
+        parts.append(
+            f'<rect x="{panel.px0:.3f}" y="{panel.py0:.3f}" width="{panel.pw:.3f}" '
+            f'height="{panel.ph:.3f}" fill="none" stroke="#cccccc"/>'
+        )
+        if entry["cloud"] is not None:
+            for chunk in _dot_paths_reference(entry["cloud"], panel):
+                parts.append(
+                    f'<path d="{chunk}" stroke="{color}" stroke-opacity="0.55" '
+                    f'stroke-width="{spec.point_radius * 0.6:.3f}" '
+                    f'stroke-linecap="round" fill="none"/>'
+                )
+        if entry["curve"] is not None:
+            for run in _polyline_runs_reference(entry["curve"], panel):
+                parts.append(
+                    f'<polyline points="{run}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.4"/>'
+                )
+        if entry["data"] is not None:
+            for x, y in entry["data"]:
+                if not _inside(panel, x, y):
+                    continue
+                px, py = _to_px(panel, x, y)
+                parts.append(
+                    f'<circle class="knot" cx="{px:.3f}" cy="{py:.3f}" '
+                    f'r="{spec.point_radius:.3f}" fill="none" stroke="#222222" '
+                    f'stroke-width="1.2"/>'
+                )
+    parts.append("</svg>")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
+
+
+# On a 64 x 64 canvas without margin and with ranges (0, 64), world and pixel
+# coordinates coincide exactly (py = 64 - y), so .5 coordinates stay .5.
+EXACT = PlotSpec(width=64, height=64, margin=0, x_range=(0.0, 64.0), y_range=(0.0, 64.0))
+
+
+def _edge_points(rng):
+    below, above = np.nextafter(0.0, -1.0), np.nextafter(64.0, 65.0)
+    halves = np.arange(0.0, 64.5, 0.5)
+    edges = np.array([0.0, 64.0, below, above, -0.0, 63.5, 0.5, 1.5, 2.5])
+    inner = np.full(edges.size, 32.5)
+    xs = np.concatenate([halves, edges, edges, inner, rng.uniform(-1, 65, 300)])
+    ys = np.concatenate([halves[::-1], edges, inner - 1.0, edges, rng.uniform(-1, 65, 300)])
+    pts = np.column_stack((xs, ys))
+    return np.vstack([pts, pts[:40]])  # duplicates
+
+
+@pytest.fixture
+def edge_clouds(rng):
+    pts = _edge_points(rng)
+    return (AttractorCloud(1, pts, 0), AttractorCloud(2, pts[::-1] * 0.5 + 1.0, 0))
+
+
+def test_dedup_matches_unique_reference(rng):
+    tol = 0.25
+    cells = rng.integers(-8, 8, size=(4000, 2)) * tol
+    on_boundaries = cells + tol / 2  # points / tol lands exactly on .5
+    jittered = cells + rng.uniform(-tol, tol, size=cells.shape)
+    pts = np.vstack([on_boundaries, jittered, cells, cells[:100], [[-0.0, 0.0], [0.0, -0.0]]])
+    for t in (tol, 1e-3, 3.0):
+        assert np.array_equal(_dedup(pts, t), dedup_reference(pts, t))
+    single = np.array([[1.0, 2.0]])
+    assert np.array_equal(_dedup(single, tol), single)
+
+
+@pytest.mark.parametrize("spec", [EXACT, PlotSpec(width=300, height=200, margin=7), PlotSpec()])
+def test_render_pgm_matches_scalar_reference(spec, edge_clouds, tmp_path):
+    render_pgm(tmp_path / "new.pgm", spec, clouds=edge_clouds)
+    render_pgm_reference(tmp_path / "ref.pgm", spec, edge_clouds)
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def test_exact_spec_clamps_to_the_last_row_and_column(edge_clouds, tmp_path):
+    render_pgm(tmp_path / "a.pgm", EXACT, clouds=edge_clouds[:1])
+    img = np.frombuffer((tmp_path / "a.pgm").read_bytes().split(b"\n", 1)[1], dtype=np.uint8)
+    img = img.reshape(64, 64)
+    assert img[0, 63] == 0  # (64, 64) clamps to column width-1 and lands on row 0
+    assert img[63, 0] == 0  # (0, 0) clamps to row height-1
+
+
+@pytest.mark.parametrize("spec", [
+    EXACT,
+    PlotSpec(width=640, height=160, margin=10, x_range=(0.0, 4.0), y_range=(1.5, 4.5)),
+    PlotSpec(),
+])
+def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_path):
+    family = fixed_point(ex2_system, 64, 1e-9, 200).family
+    datasets = [DataSet(((0.0, 0.0), (64.0, 64.0), (32.0, np.nextafter(64.0, 65.0)), (4.0, 1.5))),
+                ex2_system.dataset(2)]
+    scenes = [
+        dict(datasets=datasets, family=family, clouds=edge_clouds),
+        dict(family=family),
+        dict(clouds=edge_clouds[1:] + edge_clouds[:1]),
+    ]
+    for k, scene in enumerate(scenes):
+        render_svg(tmp_path / f"new{k}.svg", spec, **scene)
+        render_svg_reference(tmp_path / f"ref{k}.svg", spec, **scene)
+        assert (tmp_path / f"new{k}.svg").read_bytes() == (tmp_path / f"ref{k}.svg").read_bytes()
+
+
+def test_export_csv_matches_tuple_sort_reference(ex2_system, rng, tmp_path):
+    # Signed zeros tie with each other, equal x with different y, repeated
+    # rows, and vertices listed out of order.
+    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, 3.0], [1.0, -3.0],
+                  [1.0, 3.0], [-0.0, -0.0], [0.0, 0.0]])
+    b = np.vstack([a[::-1], rng.integers(-3, 3, size=(200, 2)) * 0.5])
+    cases = [
+        dict(clouds=(AttractorCloud(2, b, 0), AttractorCloud(1, a, 0), AttractorCloud(2, a, 0))),
+        dict(clouds=(AttractorCloud(1, rng.normal(size=(500, 2)), 3),)),
+        dict(clouds=()),
+        dict(family=fixed_point(ex2_system, 64, 1e-9, 200).family),
+    ]
+    for k, case in enumerate(cases):
+        export_csv(tmp_path / f"new{k}.csv", **case)
+        export_csv_reference(tmp_path / f"ref{k}.csv", **case)
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()

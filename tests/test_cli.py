@@ -1,10 +1,14 @@
 """Config parsing, subcommands, exit codes, and pipeline determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gdfif
 from gdfif import STRICT_MODE
 from gdfif.cli import (
     ConfigError,
@@ -278,3 +282,26 @@ def test_entry_raises_system_exit(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def _run_python(*args, cwd):
+    src = str(Path(gdfif.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["gdfif", "gdfif.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    proc = _run_python("-m", module, "run", "flat", "--outdir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "flat_summary.json").is_file()
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    proc = _run_python(
+        "-c", "import sys, gdfif.cli; print('scipy.spatial' in sys.modules)", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
