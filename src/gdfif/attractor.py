@@ -76,11 +76,13 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     Representatives are original points, not cell centers, so deduplication
     never moves a point; it only thins clusters closer than about tol.
     """
-    keys = np.round(points / tol).astype(np.int64)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    ordered = keys[order]
+    kx = np.round(points[:, 0] / tol).astype(np.int64)
+    ky = np.round(points[:, 1] / tol).astype(np.int64)
+    order = np.lexsort((ky, kx))
+    kx = kx[order]
+    ky = ky[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
     return points[np.sort(order[first])]
 
 

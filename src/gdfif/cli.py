@@ -21,7 +21,13 @@ from pathlib import Path
 import yaml
 
 from .attractor import chaos_game, hausdorff_distance, iterate_attractor
-from .funcspace import ConvergenceError, evaluate_exact, fixed_point, interpolation_residual
+from .funcspace import (
+    ConvergenceError,
+    _knot_residual,
+    evaluate_exact,
+    fixed_point,
+    interpolation_residual,
+)
 from .maps import build_system
 from .model import CONDITION3_MODES, STRICT_MODE, DataSet, WiringPlan, validate
 from .render import PlotSpec, export_csv, render_pgm, render_svg
@@ -360,14 +366,13 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
         h = hausdorff_distance(clouds[alpha - 1].points, fn.as_points())
         worst_h = max(worst_h, h)
         ds = system.dataset(alpha)
-        residual = float(max(abs(fn.evaluate(x) - F) for x, F in ds.points))
         per_vertex.append({
             "vertex": alpha,
             "knots": len(ds.points),
             "samples": int(fn.grid.size),
             "cloud_points": len(clouds[alpha - 1]),
             "hausdorff": h,
-            "interpolation_residual": residual,
+            "interpolation_residual": _knot_residual(ds, fn),
         })
     return {
         "name": cfg.name,

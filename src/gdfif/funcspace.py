@@ -17,12 +17,16 @@ The operator is applied by resampling onto the same fixed output grid every
 time, so grids never grow across iterations, and it contracts the family sup
 metric by the factor r = max |d| < 1. Iterating from the straight-chord
 family therefore converges geometrically to the unique fixed family, which
-interpolates every knot of every data set.
+interpolates every knot of every data set. Each sweep is batched: the
+pullbacks are computed once per system and resolution, and every source
+function is interpolated in one call over all the pullbacks that read it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -107,17 +111,20 @@ class FunctionFamily:
         return iter(self.functions)
 
 
+def _blocks(dataset: DataSet, resolution: int) -> np.ndarray:
+    """Row i - 1 holds `resolution` equally spaced abscissas over interval i."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    return np.linspace(dataset.xs[:-1], dataset.xs[1:], resolution, axis=1)
+
+
 def standard_grid(dataset: DataSet, resolution: int) -> np.ndarray:
     """Per-interval grid: `resolution` equally spaced samples per interval.
 
     Both interval endpoints are included, shared knots once, so the grid has
     n_intervals * (resolution - 1) + 1 nodes and contains every knot exactly.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    xs = dataset.xs
-    parts = [np.linspace(xs[i], xs[i + 1], resolution) for i in range(dataset.n_intervals)]
-    return np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
+    return np.append(_blocks(dataset, resolution)[:, :-1], dataset.xs[-1])
 
 
 def initial_family(system: GifsSystem, resolution: int) -> FunctionFamily:
@@ -145,6 +152,79 @@ def _check_family(system: GifsSystem, family: FunctionFamily):
             )
 
 
+class _Transfer:
+    """The transfer operator of one system at one resolution, as arrays.
+
+    Every map contributes one block row: the pullbacks t = (x - e) / a of
+    its target interval's `resolution` abscissas, computed once, and its
+    coefficients as columns. Rows are grouped by source vertex, so a sweep
+    makes one np.interp call per source function over all of its
+    pullbacks; `_rows[alpha - 1]` lists vertex alpha's rows in interval
+    order. The block values go to one buffer reused by every sweep.
+    """
+
+    def __init__(self, system: GifsSystem, resolution: int):
+        datasets = system.datasets
+        maps = [m for row in system.maps for m in row]
+        sources = np.array([m.source_vertex for m in maps])
+        order = np.argsort(sources, kind="stable")
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(order.size)
+        a, self._c, self._d, e, self._f = np.split(
+            np.array([(m.a, m.c, m.d, m.e, m.f) for m in maps])[order], 5, axis=1)
+        x = np.concatenate([_blocks(ds, resolution) for ds in datasets])[order]
+        self._t = (x - e) / a
+        self._blk = np.empty_like(self._t)
+        ends = np.cumsum([0] + [ds.n_intervals for ds in datasets])
+        self._rows = [row_of[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+        firsts = np.searchsorted(sources[order], np.arange(1, len(datasets) + 2))
+        self._by_source = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
+        self.datasets = datasets
+        self._step = resolution - 1
+        self.grids = [standard_grid(ds, resolution) for ds in datasets]
+
+    def __call__(self, functions) -> list[np.ndarray]:
+        """New values on `grids` from one (grid, values) source per vertex.
+
+        Both one-sided values at every knot must agree with the knot
+        ordinate up to round-off (ValueError otherwise); the knot samples
+        are then written exactly.
+        """
+        blk = self._blk
+        for rows, (grid, values) in zip(self._by_source, functions):
+            # c t + d F(t) + f, rounded in the order of the per-map formula
+            t = self._t[rows]
+            s = np.interp(t, grid, values)
+            s *= self._d[rows]
+            out = blk[rows]
+            np.multiply(self._c[rows], t, out=out)
+            out += s
+            out += self._f[rows]
+        step = self._step
+        new = []
+        for alpha, (ds, rows, grid) in enumerate(zip(self.datasets, self._rows, self.grids),
+                                                 start=1):
+            worst_knot_dev = float(np.max(np.abs(
+                [blk[rows, 0] - ds.fs[:-1], blk[rows, -1] - ds.fs[1:]])))
+            scale = 1.0 + float(np.max(np.abs(ds.fs)))
+            if not worst_knot_dev <= 1e-6 * scale:
+                raise ValueError(
+                    f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
+                )
+            values = np.empty(grid.size)
+            values[:-1] = blk[rows, :-1].ravel()
+            values[::step] = ds.fs
+            new.append(values)
+        return new
+
+
+def _as_family(grids, values) -> FunctionFamily:
+    return FunctionFamily(tuple(
+        SampledFunction(alpha, grid, v)
+        for alpha, (grid, v) in enumerate(zip(grids, values), start=1)
+    ))
+
+
 def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> FunctionFamily:
     """One application of the transfer operator, resampled on the standard grid.
 
@@ -155,38 +235,8 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
     interpolates all knots from the first application on.
     """
     _check_family(system, family)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    out = []
-    for alpha in range(1, system.n + 1):
-        ds = system.dataset(alpha)
-        k = ds.n_intervals
-        size = k * (resolution - 1) + 1
-        grid = np.empty(size)
-        values = np.empty(size)
-        scale = 1.0 + float(np.max(np.abs(ds.fs)))
-        worst_knot_dev = 0.0
-        for i, m in enumerate(system.maps_for(alpha), start=1):
-            block_x = np.linspace(ds.xs[i - 1], ds.xs[i], resolution)
-            t = (block_x - m.e) / m.a
-            source_fn = family.get(m.source_vertex)
-            block_v = m.c * t + m.d * source_fn.evaluate(t) + m.f
-            worst_knot_dev = max(
-                worst_knot_dev,
-                abs(block_v[0] - ds.fs[i - 1]),
-                abs(block_v[-1] - ds.fs[i]),
-            )
-            lo = (i - 1) * (resolution - 1)
-            grid[lo:lo + resolution] = block_x
-            values[lo:lo + resolution] = block_v
-        if not worst_knot_dev <= 1e-6 * scale:
-            raise ValueError(
-                f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
-            )
-        knot_pos = np.arange(k + 1) * (resolution - 1)
-        values[knot_pos] = ds.fs
-        out.append(SampledFunction(alpha, grid, values))
-    return FunctionFamily(tuple(out))
+    sweep = _Transfer(system, resolution)
+    return _as_family(sweep.grids, sweep([(fn.grid, fn.values) for fn in family]))
 
 
 def sup_distance(u: SampledFunction, v: SampledFunction) -> float:
@@ -212,8 +262,10 @@ def family_distance(a: FunctionFamily, b: FunctionFamily) -> float:
 class FixedPointResult:
     """Converged family plus the iteration record.
 
-    `error_bound` is the a-priori distance to the true fixed family implied
-    by the last step: final_delta * r / (1 - r).
+    `error_bound` is the a posteriori bound final_delta * r / (1 - r) on the
+    sup distance to the fixed family of the discretised operator, the one
+    that resamples on the standard grid. It does not bound the distance to
+    the true interpolants: the grid's own sampling error comes on top.
     """
 
     family: FunctionFamily
@@ -240,17 +292,18 @@ def fixed_point(
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    current = initial_family(system, resolution)
+    sweep = _Transfer(system, resolution)
+    values = [fn.values for fn in initial_family(system, resolution)]
     deltas: list[float] = []
     for iteration in range(1, max_iters + 1):
-        nxt = apply_T(system, current, resolution)
-        delta = family_distance(nxt, current)
+        nxt = sweep(zip(sweep.grids, values))
+        delta = max(float(np.max(np.abs(w - v))) for w, v in zip(nxt, values))
         deltas.append(delta)
-        current = nxt
+        values = nxt
         if delta <= tol:
             bound = delta * system.r / (1.0 - system.r)
             return FixedPointResult(
-                family=current,
+                family=_as_family(sweep.grids, values),
                 iterations=iteration,
                 final_delta=delta,
                 error_bound=bound,
@@ -259,26 +312,29 @@ def fixed_point(
     raise ConvergenceError(max_iters, deltas[-1], tol)
 
 
+def _knot_residual(dataset: DataSet, fn: SampledFunction) -> float:
+    """Largest |fn(x_j) - F_j| over the data set's knots."""
+    return float(np.max(np.abs(fn.evaluate(dataset.xs) - dataset.fs)))
+
+
 def interpolation_residual(system: GifsSystem, family: FunctionFamily) -> float:
     """Largest |family(x_j) - F_j| over every knot of every data set."""
-    worst = 0.0
-    for alpha in range(1, system.n + 1):
-        ds = system.dataset(alpha)
-        fn = family.get(alpha)
-        worst = max(worst, float(np.max(np.abs(fn.evaluate(ds.xs) - ds.fs))))
-    return worst
+    return max(_knot_residual(system.dataset(alpha), family.get(alpha))
+               for alpha in range(1, system.n + 1))
 
 
 def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> float:
-    """Pointwise value by recursive pullback, with no sampling grid at all.
+    """Pointwise value by repeated pullback, with no sampling grid at all.
 
     Follows the interval containing x back through its wired source `depth`
     times and bottoms out on the straight chord, which reproduces the value
     of the depth-fold operator power applied to the chord family. The error
     against the true interpolant is at most r**depth times the chord
-    family's distance to it. A knot belongs to the interval it closes (x at
-    the left domain endpoint belongs to interval 1), so knots evaluate to
-    their data ordinates at every depth.
+    family's distance to it. Every operator power interpolates the data, so
+    an abscissa that is exactly a knot, at the top or anywhere down the
+    chain with depth left, takes the knot's ordinate: knots evaluate to
+    their data ordinates at every depth, free of the round-off that further
+    pullbacks would amplify.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -288,22 +344,27 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
         raise ValueError(
             f"x = {x:g} is outside [{ds.xs[0]:g}, {ds.xs[-1]:g}] for vertex {alpha}"
         )
-    return _evaluate_rec(system, alpha, x, depth)
+    chain = []
+    for _ in range(depth):
+        points = system.dataset(alpha).points
+        i = bisect_left(points, x, key=itemgetter(0))
+        if points[i][0] == x:
+            value = points[i][1]
+            break
+        m = system.maps_for(alpha)[i - 1]
+        source = system.dataset(m.source_vertex)
+        t = (x - m.e) / m.a
+        # round-off can push the pullback a few ulp past the source domain
+        t = min(max(t, source.first[0]), source.last[0])
+        chain.append((m, t))
+        alpha, x = m.source_vertex, t
+    else:
+        value = _chord_value(system.dataset(alpha), x)
+    for m, t in reversed(chain):
+        value = m.c * t + m.d * value + m.f
+    return value
 
 
 def _chord_value(ds: DataSet, x: float) -> float:
     (x0, F0), (xN, FN) = ds.first, ds.last
     return F0 + (x - x0) * (FN - F0) / (xN - x0)
-
-
-def _evaluate_rec(system: GifsSystem, alpha: int, x: float, depth: int) -> float:
-    ds = system.dataset(alpha)
-    if depth == 0:
-        return _chord_value(ds, x)
-    i = max(1, int(np.searchsorted(ds.xs, x, side="left")))
-    m = system.maps_for(alpha)[i - 1]
-    source = system.dataset(m.source_vertex)
-    t = (x - m.e) / m.a
-    # round-off can push the pullback a few ulp past the source domain
-    t = min(max(t, source.xs[0]), source.xs[-1])
-    return m.c * t + m.d * _evaluate_rec(system, m.source_vertex, t, depth - 1) + m.f

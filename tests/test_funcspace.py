@@ -213,6 +213,21 @@ def test_evaluate_exact_at_knots(ex2_system):
                 assert evaluate_exact(ex2_system, alpha, x, depth) == pytest.approx(F, abs=1e-12)
 
 
+def test_evaluate_exact_is_exact_at_knots_of_narrow_intervals(rng):
+    # With 30 intervals per data set each pullback stretches round-off about
+    # 30-fold, so recursing through a knot used to miss its ordinate.
+    datasets = [random_dataset(rng, n_points=31, span=float(rng.uniform(0.8, 1.25)))
+                for _ in range(3)]
+    plan = WiringPlan.from_pairs([
+        [(int(rng.integers(1, 4)), float(rng.choice((-0.5, 0.5)))) for _ in range(30)]
+        for _ in range(3)
+    ])
+    system = build_system(datasets, plan)
+    for alpha, ds in enumerate(datasets, start=1):
+        for x, F in ds.points:
+            assert evaluate_exact(system, alpha, x, 30) == F
+
+
 def test_evaluate_exact_flat_is_zero(flat_system):
     for x in (0.0, 0.3, 1.0, 1.999, 2.0):
         assert evaluate_exact(flat_system, 1, x, 20) == 0.0
