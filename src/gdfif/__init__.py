@@ -34,7 +34,14 @@ from .funcspace import (
     standard_grid,
     sup_distance,
 )
-from .maps import AffineMap, GifsSystem, apply_map, build_system, endpoint_residuals
+from .maps import (
+    AffineMap,
+    GifsSystem,
+    InvalidSystemError,
+    apply_map,
+    build_system,
+    endpoint_residuals,
+)
 from .model import (
     CONDITION3_MODES,
     STRICT_MODE,
@@ -62,6 +69,7 @@ __all__ = [
     "FunctionFamily",
     "GifsSystem",
     "IntervalAssignment",
+    "InvalidSystemError",
     "PlotSpec",
     "STRICT_MODE",
     "SampledFunction",

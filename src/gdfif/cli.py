@@ -1,16 +1,16 @@
 """Config-driven command line: validate, run, eval, and render subcommands.
 
-Configs are YAML (schema documented in the README). Exit codes: 0 success,
-1 validation violations, 2 structural or parse errors, 3 solver
-non-convergence. All emitted artifacts are deterministic, so running the
-same config twice produces byte-identical files.
+Configs are YAML (schema documented in the README); setting flags are
+written into the config before it is checked. Exit codes: 0 success,
+1 validation violations, 2 structural, parse or range errors and clouds past
+their point budget, 3 solver non-convergence. All emitted artifacts are
+deterministic, so running the same config twice produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .attractor import chaos_game, hausdorff_distance, iterate_attractor
+from .attractor import CloudBudgetError, chaos_game, hausdorff_distance, iterate_attractor
 from .funcspace import (
     ConvergenceError,
     _knot_residual,
@@ -28,12 +28,25 @@ from .funcspace import (
     fixed_point,
     interpolation_residual,
 )
-from .maps import build_system
+from .maps import InvalidSystemError, build_system
 from .model import CONDITION3_MODES, STRICT_MODE, DataSet, WiringPlan, validate
 from .render import PlotSpec, export_csv, render_pgm, render_svg
 
 OUTDIR_ENV = "GDFIF_OUTDIR"
 OUTPUT_KEYS = ("csv", "cloud_csv", "chaos_csv", "svg", "pgm", "summary")
+# (section, key, flag type) of every solver and attractor setting: the table
+# gives each section's allowed keys, the flags (max_iters -> --max-iters) and
+# the merge of given flags into the config before it is checked.
+SETTINGS = (
+    ("solver", "resolution", int),
+    ("solver", "tol", float),
+    ("solver", "max_iters", int),
+    ("attractor", "generations", int),
+    ("attractor", "dedup_tol", float),
+    ("attractor", "chaos_points", int),
+    ("attractor", "burn_in", int),
+    ("attractor", "seed", int),
+)
 
 
 class ConfigError(Exception):
@@ -45,23 +58,17 @@ class ProjectConfig:
     name: str
     datasets: tuple[DataSet, ...]
     plan: WiringPlan
-    resolution: int = 64
-    tol: float = 1e-9
-    max_iters: int = 200
-    generations: int = 12
-    dedup_tol: float = 1e-3
-    chaos_points: int = 0
-    burn_in: int = 100
-    seed: int = 7
-    condition3_mode: str = STRICT_MODE
-    outputs: tuple[tuple[str, str], ...] = ()
-    outdir: str | None = None
-
-    def output_path(self, key: str) -> str | None:
-        for k, v in self.outputs:
-            if k == key:
-                return v
-        return None
+    resolution: int
+    tol: float
+    max_iters: int
+    generations: int
+    dedup_tol: float
+    chaos_points: int
+    burn_in: int
+    seed: int
+    condition3_mode: str
+    outputs: tuple[tuple[str, str], ...]
+    outdir: str | None
 
 
 def bundled_config_path(name: str) -> Path | None:
@@ -112,10 +119,13 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
-def _section(raw: dict, key: str) -> dict:
-    section = raw.get(key) or {}
+def _section(raw: dict, name: str, path: Path) -> dict:
+    section = raw.get(name) or {}
     if not isinstance(section, dict):
-        raise ConfigError(f"section {key!r} must be a mapping")
+        raise ConfigError(f"section {name!r} must be a mapping")
+    bad = sorted(set(section) - {key for s, key, _ in SETTINGS if s == name})
+    if bad:
+        raise ConfigError(f"{path}: unknown {name} keys {bad}")
     return section
 
 
@@ -225,6 +235,10 @@ def load_config(path) -> ProjectConfig:
     Mathematical violations are left to `validate`.
     """
     path = Path(path)
+    return _parse_config(_read_config(path), path)
+
+
+def _read_config(path: Path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
@@ -238,7 +252,10 @@ def load_config(path) -> ProjectConfig:
         raise ConfigError(f"parse error in {path}{where}: {problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    return raw
 
+
+def _parse_config(raw: dict, path: Path) -> ProjectConfig:
     known = {"name", "datasets", "wiring", "solver", "attractor",
              "condition3_mode", "outputs", "outdir"}
     unknown = sorted(set(raw) - known)
@@ -252,16 +269,8 @@ def load_config(path) -> ProjectConfig:
             f"{path}: {len(datasets)} datasets but wiring for {plan.n} vertices"
         )
 
-    solver = _section(raw, "solver")
-    attractor = _section(raw, "attractor")
-    for section_name, section, allowed in (
-        ("solver", solver, {"resolution", "tol", "max_iters"}),
-        ("attractor", attractor,
-         {"generations", "dedup_tol", "chaos_points", "burn_in", "seed"}),
-    ):
-        bad = sorted(set(section) - allowed)
-        if bad:
-            raise ConfigError(f"{path}: unknown {section_name} keys {bad}")
+    solver = _section(raw, "solver", path)
+    attractor = _section(raw, "attractor", path)
 
     mode = raw.get("condition3_mode", STRICT_MODE)
     if mode not in CONDITION3_MODES:
@@ -278,11 +287,17 @@ def load_config(path) -> ProjectConfig:
     outputs = tuple((k, str(outputs_raw[k])) for k in OUTPUT_KEYS if k in outputs_raw)
 
     tol = _number(solver.get("tol", 1e-9), "solver.tol")
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError("solver.tol must be positive")
     dedup_tol = _number(attractor.get("dedup_tol", 1e-3), "attractor.dedup_tol")
-    if dedup_tol < 0:
+    if not dedup_tol >= 0:
         raise ConfigError("attractor.dedup_tol must be nonnegative")
+    chaos_points = _integer(attractor.get("chaos_points", 0), "attractor.chaos_points", 0)
+    burn_in = _integer(attractor.get("burn_in", 100), "attractor.burn_in", 0)
+    if 0 < chaos_points <= burn_in:
+        raise ConfigError(
+            f"attractor.chaos_points ({chaos_points}) must exceed attractor.burn_in ({burn_in})"
+        )
 
     return ProjectConfig(
         name=str(raw.get("name", path.stem)),
@@ -293,8 +308,8 @@ def load_config(path) -> ProjectConfig:
         max_iters=_integer(solver.get("max_iters", 200), "solver.max_iters", 1),
         generations=_integer(attractor.get("generations", 12), "attractor.generations", 1),
         dedup_tol=dedup_tol,
-        chaos_points=_integer(attractor.get("chaos_points", 0), "attractor.chaos_points", 0),
-        burn_in=_integer(attractor.get("burn_in", 100), "attractor.burn_in", 0),
+        chaos_points=chaos_points,
+        burn_in=burn_in,
         seed=_integer(attractor.get("seed", 7), "attractor.seed", 0),
         condition3_mode=str(mode),
         outputs=outputs,
@@ -314,10 +329,8 @@ def _report_dict(report) -> dict:
     }
 
 
-def _emit_json(obj, stream=None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    print(text, file=stream or sys.stdout)
-    return text
+def _emit_json(obj, stream=None) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
 
 
 def cmd_validate(cfg: ProjectConfig, outdir: Path, args) -> int:
@@ -326,22 +339,11 @@ def cmd_validate(cfg: ProjectConfig, outdir: Path, args) -> int:
     return 0 if report.ok else 1
 
 
-def _solve(cfg: ProjectConfig):
-    system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
-    clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
-    chaos = None
-    if cfg.chaos_points > 0:
-        chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
-    return system, result, clouds, chaos
-
-
-def _emit_artifacts(cfg: ProjectConfig, outdir: Path, system, result, clouds, chaos,
-                    keys) -> None:
+def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
+                    summary: str | None) -> None:
     spec = PlotSpec()
-    for key in keys:
-        rel = cfg.output_path(key)
-        if rel is None:
+    for key, rel in cfg.outputs:
+        if key == "summary" and summary is None:
             continue
         target = outdir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -356,6 +358,9 @@ def _emit_artifacts(cfg: ProjectConfig, outdir: Path, system, result, clouds, ch
                        clouds=clouds)
         elif key == "pgm":
             render_pgm(target, spec, clouds=clouds)
+        elif key == "summary":
+            with open(target, "w", newline="\n") as fh:
+                fh.write(summary + "\n")
 
 
 def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
@@ -387,42 +392,23 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
 
 
 def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
-    report = validate(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    if not report.ok:
-        _emit_json(_report_dict(report))
-        return 1
-    system, result, clouds, chaos = _solve(cfg)
-    _emit_artifacts(cfg, outdir, system, result, clouds, chaos,
-                    ("csv", "cloud_csv", "chaos_csv", "svg", "pgm"))
-    summary = _summary(cfg, system, result, clouds)
-    text = json.dumps(summary, sort_keys=True, indent=2)
-    rel = cfg.output_path("summary")
-    if rel is not None:
-        target = outdir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
-    print(text)
-    return 0
-
-
-def cmd_render(cfg: ProjectConfig, outdir: Path, args) -> int:
-    report = validate(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    if not report.ok:
-        _emit_json(_report_dict(report))
-        return 1
-    system, result, clouds, chaos = _solve(cfg)
-    _emit_artifacts(cfg, outdir, system, result, clouds, chaos,
-                    ("csv", "cloud_csv", "chaos_csv", "svg", "pgm"))
+    """Solve, iterate the attractor and write the artifacts; `run` adds the summary."""
+    system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
+    result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
+    clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
+    chaos = None
+    if cfg.chaos_points > 0:
+        chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
+    summary = None
+    if args.command == "run":
+        summary = json.dumps(_summary(cfg, system, result, clouds), sort_keys=True, indent=2)
+    _emit_artifacts(cfg, outdir, result, clouds, chaos, summary)
+    if summary is not None:
+        print(summary)
     return 0
 
 
 def cmd_eval(cfg: ProjectConfig, outdir: Path, args) -> int:
-    report = validate(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    if not report.ok:
-        _emit_json(_report_dict(report))
-        return 1
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
     try:
         value = evaluate_exact(system, args.vertex, args.x, args.depth)
@@ -432,26 +418,19 @@ def cmd_eval(cfg: ProjectConfig, outdir: Path, args) -> int:
     return 0
 
 
-def _apply_overrides(cfg: ProjectConfig, args) -> ProjectConfig:
-    changes = {}
-    for field in ("resolution", "tol", "max_iters", "generations", "dedup_tol",
-                  "chaos_points", "burn_in", "seed", "condition3_mode"):
-        value = getattr(args, field, None)
-        if value is not None:
-            changes[field] = value
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+def _merge_flags(raw: dict, args) -> dict:
+    """Write each given setting flag into the parsed config, which then checks it."""
+    for section, key, _ in SETTINGS:
+        value = getattr(args, key)
+        if value is not None and isinstance(raw.get(section) or {}, dict):
+            raw[section] = {**(raw.get(section) or {}), key: value}
+    if args.condition3_mode is not None:
+        raw["condition3_mode"] = args.condition3_mode
+    return raw
 
 
 def _resolve_outdir(cfg: ProjectConfig, args) -> Path:
-    if getattr(args, "outdir", None):
-        chosen = args.outdir
-    elif os.environ.get(OUTDIR_ENV):
-        chosen = os.environ[OUTDIR_ENV]
-    elif cfg.outdir:
-        chosen = cfg.outdir
-    else:
-        chosen = "."
-    outdir = Path(chosen)
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
@@ -464,16 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="config file path or bundled config name")
     common.add_argument("--outdir", help=f"output directory (overrides ${OUTDIR_ENV})")
-    common.add_argument("--resolution", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--max-iters", dest="max_iters", type=int)
-    common.add_argument("--generations", type=int)
-    common.add_argument("--dedup-tol", dest="dedup_tol", type=float)
-    common.add_argument("--chaos-points", dest="chaos_points", type=int)
-    common.add_argument("--burn-in", dest="burn_in", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--condition3-mode", dest="condition3_mode",
-                        choices=CONDITION3_MODES)
+    for _, key, kind in SETTINGS:
+        common.add_argument("--" + key.replace("_", "-"), type=kind)
+    common.add_argument("--condition3-mode", choices=CONDITION3_MODES)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common],
@@ -488,20 +460,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--depth", type=int, default=30)
     p_eval.set_defaults(handler=cmd_eval)
     sub.add_parser("render", parents=[common],
-                   help="emit plot artifacts only").set_defaults(handler=cmd_render)
+                   help="emit plot artifacts only").set_defaults(handler=cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(resolve_config_arg(args.config))
-        cfg = _apply_overrides(cfg, args)
+        path = resolve_config_arg(args.config)
+        cfg = _parse_config(_merge_flags(_read_config(path), args), path)
         outdir = _resolve_outdir(cfg, args)
         return args.handler(cfg, outdir, args)
-    except ConfigError as exc:
+    except (ConfigError, CloudBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvalidSystemError as exc:
+        _emit_json(_report_dict(exc.report))
+        return 1
     except ConvergenceError as exc:
         _emit_json({
             "error": "no-convergence",

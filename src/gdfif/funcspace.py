@@ -338,6 +338,8 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not 1 <= alpha <= system.n:
+        raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
     ds = system.dataset(alpha)
     x = float(x)
     if not ds.xs[0] <= x <= ds.xs[-1]:

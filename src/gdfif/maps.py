@@ -43,6 +43,14 @@ class AffineMap:
     target_interval: int
 
 
+class InvalidSystemError(ValueError):
+    """The inputs violate a construction hypothesis; `.report` lists them."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 def apply_map(m: AffineMap, point) -> tuple[float, float]:
     x, y = point
     return (m.a * x + m.e, m.c * x + m.d * y + m.f)
@@ -83,8 +91,9 @@ class GifsSystem:
 def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSystem:
     """Validate the inputs and construct every affine map in closed form.
 
-    Raises ValueError when validation reports any violation; the message
-    carries the first few violation messages. On success the returned
+    Raises InvalidSystemError, a ValueError, when validation reports any
+    violation; its message carries the first few violation messages and
+    its `report` the full ValidationReport. On success the returned
     system's maps satisfy the endpoint constraints to round-off and every
     horizontal coefficient obeys 0 < a < 1.
     """
@@ -94,7 +103,9 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
         more = len(report.violations) - 5
         if more > 0:
             shown += f"; and {more} more"
-        raise ValueError(f"invalid construction input ({len(report.violations)} violations): {shown}")
+        raise InvalidSystemError(
+            f"invalid construction input ({len(report.violations)} violations): {shown}", report
+        )
 
     datasets = tuple(datasets)
     all_maps = []

@@ -11,6 +11,7 @@ import pytest
 import gdfif
 from gdfif import STRICT_MODE
 from gdfif.cli import (
+    SETTINGS,
     ConfigError,
     bundled_config_path,
     load_config,
@@ -305,3 +306,169 @@ def test_import_does_not_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Width-ratio violation: vertex 2's first interval (width 2) is wider than
+# vertex 1's span (1).
+WIDTH_VIOLATION = """\
+datasets:
+  - points: [[0, 0], [0.5, 1], [1, 0]]
+  - points: [[0, 0], [2, 1], [2.5, 0]]
+wiring:
+  - intervals:
+      - {source: 1, d: 0.3}
+      - {source: 1, d: 0.3}
+  - intervals:
+      - {source: 1, d: 0.3}
+      - {source: 2, d: 0.3}
+"""
+
+# One value below its minimum (or outside its range) for every setting flag.
+BELOW_MINIMUM = {
+    "resolution": "1",
+    "tol": "0",
+    "max_iters": "0",
+    "generations": "0",
+    "dedup_tol": "-1",
+    "chaos_points": "-1",
+    "burn_in": "-1",
+    "seed": "-1",
+}
+
+
+def test_every_setting_flag_has_a_below_minimum_case():
+    assert set(BELOW_MINIMUM) == {key for _, key, _ in SETTINGS}
+
+
+@pytest.mark.parametrize("flag, value", [
+    *BELOW_MINIMUM.items(),
+    ("tol", "nan"),
+    ("dedup_tol", "nan"),
+    ("chaos_points", "50"),  # not above the default burn_in of 100
+])
+def test_flag_below_minimum_is_a_config_error(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "out"
+    code = main(["run", "example1", "--outdir", str(outdir),
+                 "--" + flag.replace("_", "-"), value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "solver: {tol: .nan}",
+    "attractor: {dedup_tol: .nan}",
+    "attractor: {chaos_points: 100, burn_in: 100}",
+    "attractor: {chaos_points: 5}",
+])
+def test_config_value_out_of_range_is_rejected(tmp_path, setting):
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, MINIMAL + setting + "\n"))
+
+
+def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
+    text = MINIMAL + "attractor: {chaos_points: 101, burn_in: 100}\n"
+    assert load_config(write_config(tmp_path, text)).chaos_points == 101
+    text = MINIMAL + "attractor: {chaos_points: 0, burn_in: 100}\n"
+    assert load_config(write_config(tmp_path, text)).chaos_points == 0
+
+
+def test_flag_and_config_value_get_the_same_message(tmp_path, capsys):
+    cfg = write_config(tmp_path, MINIMAL + "attractor: {dedup_tol: -1}\n")
+    assert main(["validate", str(cfg)]) == 2
+    from_config = capsys.readouterr().err
+    assert main(["validate", str(write_config(tmp_path, MINIMAL, "plain.yaml")),
+                 "--dedup-tol", "-1"]) == 2
+    assert capsys.readouterr().err == from_config
+
+
+def test_flags_override_config_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, MINIMAL + "solver:\nattractor: {generations: 0}\n")
+    assert main(["run", str(cfg), "--outdir", str(tmp_path),
+                 "--generations", "2", "--resolution", "8"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["per_vertex"][0]["samples"] == 2 * 7 + 1
+    # a flag into a section that is not a mapping gets the section's message
+    cfg = write_config(tmp_path, MINIMAL + "solver: 5\n", "scalar.yaml")
+    assert main(["validate", str(cfg), "--tol", "1e-3"]) == 2
+    assert "section 'solver' must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["render"], ["eval", "--x", "0.25"]])
+def test_violating_config_prints_the_validate_report(tmp_path, capsys, command):
+    cfg = str(write_config(tmp_path, WIDTH_VIOLATION))
+    assert main(["validate", cfg]) == 1
+    report = capsys.readouterr().out
+    outdir = tmp_path / "out"
+    assert main([command[0], cfg, "--outdir", str(outdir), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert captured.err == ""
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["run"], ["render"], ["eval", "--x", "1.5"],
+])
+def test_validate_runs_once_per_command(tmp_path, capsys, monkeypatch, command):
+    import gdfif.cli
+    import gdfif.maps
+    from gdfif.model import validate
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(gdfif.maps, "validate", counting)
+    monkeypatch.setattr(gdfif.cli, "validate", counting)
+    assert main([command[0], "flat", "--outdir", str(tmp_path), *command[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("vertex", ["0", "3"])
+def test_eval_vertex_outside_system_is_structural(capsys, vertex):
+    assert main(["eval", "example2", "--vertex", vertex, "--x", "2.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: vertex " + vertex + " is outside 1..2\n"
+    assert captured.out == ""
+
+
+def test_cloud_budget_overrun_is_a_config_error(tmp_path, capsys):
+    # 999 self-wired maps without dedup: generation 1 holds 999,000 points,
+    # generation 2 would hold about 1e9, past the cloud budget of 1e7.
+    knots = ", ".join(f"[{k}, {k % 7}]" for k in range(1000))
+    text = f"""\
+datasets:
+  - points: [{knots}]
+wiring:
+  - blocks:
+      - {{source: 1, count: 999, d: 0.3}}
+solver: {{resolution: 2}}
+attractor: {{generations: 2, dedup_tol: 0}}
+outputs: {{summary: summary.json}}
+"""
+    code = main(["run", str(write_config(tmp_path, text)), "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: next generation would hold")
+    assert captured.out == ""
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_checks_hold_under_python_O(tmp_path):
+    bad_flag = _run_python("-O", "-m", "gdfif", "run", "example1", "--resolution", "1",
+                           "--outdir", str(tmp_path / "out"), cwd=tmp_path)
+    assert bad_flag.returncode == 2, bad_flag.stderr
+    assert bad_flag.stderr.startswith("error: ")
+    cfg = str(write_config(tmp_path, WIDTH_VIOLATION))
+    violating = _run_python("-O", "-m", "gdfif", "run", cfg, "--outdir", str(tmp_path / "out"),
+                            cwd=tmp_path)
+    assert violating.returncode == 1, violating.stderr
+    assert json.loads(violating.stdout)["ok"] is False
+    assert list((tmp_path / "out").iterdir()) == []

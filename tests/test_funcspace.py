@@ -260,6 +260,13 @@ def test_evaluate_exact_argument_errors(ex1_system):
         evaluate_exact(ex1_system, 1, 5.0, 0)
 
 
+@pytest.mark.parametrize("alpha", [0, -1, 3])
+def test_evaluate_exact_rejects_vertex_outside_system(ex2_system, alpha):
+    # vertex 0 would otherwise index the last data set and return its value
+    with pytest.raises(ValueError, match="outside 1..2"):
+        evaluate_exact(ex2_system, alpha, 2.5, 10)
+
+
 def test_single_vertex_fixed_point_matches_classic_construction(rng):
     for _ in range(3):
         ds = random_dataset(rng, span=2.0)

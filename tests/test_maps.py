@@ -6,10 +6,12 @@ import pytest
 from gdfif import (
     AffineMap,
     DataSet,
+    InvalidSystemError,
     WiringPlan,
     apply_map,
     build_system,
     endpoint_residuals,
+    validate,
 )
 from conftest import EX1_POINTS, EX1_SCALES, make_plan
 from support import classic_coefficients, random_dataset, random_two_vertex
@@ -136,6 +138,17 @@ def test_build_system_rejects_invalid_input():
     plan = make_plan(((1, 1), (1, 2)), ((0.3, 0.3), (0.3, 0.3)))
     with pytest.raises(ValueError, match="width"):
         build_system([narrow, wide], plan)
+
+
+def test_invalid_system_error_carries_the_report():
+    wide = DataSet(((0.0, 0.0), (2.0, 1.0), (2.5, 0.0)))
+    narrow = DataSet(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
+    plan = make_plan(((1, 1), (1, 2)), ((0.3, 0.3), (0.3, 0.3)))
+    with pytest.raises(InvalidSystemError) as exc:
+        build_system([narrow, wide], plan)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.report == validate([narrow, wide], plan)
+    assert "data/width-ratio" in exc.value.report.codes()
 
 
 def test_transform_points_matches_apply_map(ex1_system):
