@@ -62,12 +62,19 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
     clouds = _check_clouds(system, clouds)
     out = []
     for alpha in range(1, system.n + 1):
-        parts = [
-            transform_points(m, clouds[m.source_vertex - 1].points)
-            for m in system.maps_for(alpha)
-        ]
-        out.append(AttractorCloud(alpha, np.vstack(parts), clouds[alpha - 1].generation + 1))
+        maps = system.maps_for(alpha)
+        sources = [clouds[m.source_vertex - 1].points for m in maps]
+        images = np.empty((sum(map(len, sources)), 2))
+        lo = 0
+        for m, pts in zip(maps, sources):
+            transform_points(m, pts, out=images[lo:lo + len(pts)])
+            lo += len(pts)
+        out.append(AttractorCloud(alpha, images, clouds[alpha - 1].generation + 1))
     return tuple(out)
+
+
+# Packed dedup keys are int64: the cell number above the row index.
+_KEY_LIMIT = 1 << 63
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -75,15 +82,39 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
 
     Representatives are original points, not cell centers, so deduplication
     never moves a point; it only thins clusters closer than about tol.
+    Each point's cell number goes above its row index in one int64 key, so
+    a single sort groups the cells with the first-seen row leading each;
+    cells too many to pack (a tiny tol) are grouped by a two-column lexsort.
     """
+    n = len(points)
     kx = np.round(points[:, 0] / tol).astype(np.int64)
     ky = np.round(points[:, 1] / tol).astype(np.int64)
-    order = np.lexsort((ky, kx))
-    kx = kx[order]
-    ky = ky[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
-    return points[np.sort(order[first])]
+    bits = (n - 1).bit_length()
+    x0, y0 = kx.min(), ky.min()
+    nx = int(kx.max()) - int(x0) + 1
+    ny = int(ky.max()) - int(y0) + 1
+    if (nx * ny) << bits > _KEY_LIMIT:
+        order = np.lexsort((ky, kx))
+        kx = kx[order]
+        ky = ky[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+        return points[np.sort(order[first])]
+    key = kx
+    key -= x0
+    key *= ny
+    ky -= y0
+    key += ky
+    key <<= bits
+    key |= np.arange(n)
+    key.sort()
+    cell = key >> bits
+    first = np.ones(n, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    keep = key[first]
+    keep &= (1 << bits) - 1
+    keep.sort()
+    return points[keep]
 
 
 def iterate_attractor(
@@ -111,7 +142,7 @@ def iterate_attractor(
         if predicted > max_points:
             raise CloudBudgetError(
                 f"next generation would hold {predicted} points, cap is {max_points}; "
-                f"raise max_points or use a coarser dedup_tolerance"
+                f"use fewer generations or a larger dedup_tol"
             )
         clouds = hutchinson_step(system, clouds)
         if dedup_tolerance > 0:
@@ -166,14 +197,72 @@ def chaos_game(
     )
 
 
-def directed_hausdorff(p_points, q_points) -> float:
-    """max over p of min over q of the max-norm distance."""
-    from scipy.spatial import cKDTree  # imported here so `import gdfif` does not pay for scipy
+# Window steps double the candidates scanned per side: 1, 2, 4, ...  A point
+# still scanning after the last step (many points of Q in its x-strip, as on
+# a near-vertical cloud) is finished against all of Q. Distances are taken
+# in blocks of about _BLOCK at a time.
+_WINDOW_STEPS = 8
+_BLOCK = 1 << 16
 
+
+def directed_hausdorff(p_points, q_points) -> float:
+    """max over p of min over q of the max-norm distance, exactly.
+
+    Q is sorted by x, and each p scans outward from its place in that
+    order, on both sides, until the next candidate on each side is at least
+    its best distance so far away in x: no later candidate can then be
+    nearer. Every distance is max(|dx|, |dy|) of the input doubles, so the
+    result is the exact nearest-neighbour maximum.
+    """
     P = _as_point_array(p_points)
     Q = _as_point_array(q_points)
-    dists, _ = cKDTree(Q).query(P, k=1, p=np.inf)
-    return float(np.max(dists))
+    Q = Q[np.argsort(Q[:, 0], kind="stable")]
+    # -inf/+inf sentinels end both sides: infinitely far, in x and in distance.
+    qx = np.concatenate(([-np.inf], Q[:, 0], [np.inf]))
+    qy = np.concatenate(([0.0], Q[:, 1], [0.0]))
+    px, py = P[:, 0].copy(), P[:, 1].copy()
+    start = np.searchsorted(qx, px)  # qx[start - 1] < px <= qx[start]
+    best = np.full(len(px), np.inf)
+    active = np.arange(len(px))
+    for step in range(_WINDOW_STEPS):
+        width = 1 << step  # the steps before covered width - 1 per side
+        offsets = np.arange(width - 1, 2 * width - 1)
+        offsets = np.concatenate((offsets, -1 - offsets))[:, None]
+        # Candidates run down axis 0, so the min is elementwise across rows.
+        for k in _blocks(active, len(offsets)):
+            j = np.clip(start[k] + offsets, 0, len(qx) - 1)
+            dx, dy = qx[j], qy[j]
+            dx -= px[k]
+            dy -= py[k]
+            best[k] = np.minimum(best[k], _max_norm_min(dx, dy, axis=0))
+        x, b, c = px[active], best[active], start[active]
+        right = np.minimum(c + 2 * width - 1, len(qx) - 1)
+        left = np.maximum(c - 2 * width, 0)
+        active = active[(qx[right] - x < b) | (x - qx[left] < b)]
+        if not active.size:
+            break
+    else:
+        _finish_brute(px, py, qx, qy, best, active)
+    return float(best.max())
+
+
+def _finish_brute(px, py, qx, qy, best, rows):
+    """Set best[rows] to each p's nearest max-norm distance over all of q."""
+    for k in _blocks(rows, len(qx)):
+        best[k] = _max_norm_min(qx - px[k, None], qy - py[k, None], axis=1)
+
+
+def _blocks(rows, width):
+    """Split rows into blocks of about _BLOCK // width."""
+    step = max(1, _BLOCK // width)
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+
+
+def _max_norm_min(dx, dy, axis):
+    """min over `axis` of max(|dx|, |dy|), computed in place in dx and dy."""
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
+    return np.maximum(dx, dy, out=dx).min(axis=axis)
 
 
 def hausdorff_distance(p_points, q_points) -> float:

@@ -244,7 +244,7 @@ def _read_config(path: Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = _safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -253,6 +253,21 @@ def _read_config(path: Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return raw
+
+
+def _safe_load(text: str):
+    """yaml.safe_load, through libyaml when PyYAML was built with it.
+
+    libyaml words some problems differently and marks some at other columns,
+    so a document it rejects is parsed again by the pure-Python loader,
+    whose error is the one reported.
+    """
+    if yaml.__with_libyaml__:
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
 
 
 def _parse_config(raw: dict, path: Path) -> ProjectConfig:

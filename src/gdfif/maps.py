@@ -56,11 +56,22 @@ def apply_map(m: AffineMap, point) -> tuple[float, float]:
     return (m.a * x + m.e, m.c * x + m.d * y + m.f)
 
 
-def transform_points(m: AffineMap, points: np.ndarray) -> np.ndarray:
-    """Apply the map to a (k, 2) array of points, returning a new array."""
-    x = points[:, 0]
-    y = points[:, 1]
-    return np.column_stack((m.a * x + m.e, m.c * x + m.d * y + m.f))
+def transform_points(m: AffineMap, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the map to a (k, 2) array of points.
+
+    The images go into `out`, a (k, 2) float array, when it is given, else
+    into a new array; that array is returned.
+    """
+    if out is None:
+        out = np.empty((len(points), 2))
+    x, y = points[:, 0], points[:, 1]
+    # (d y + c x) + f rounds exactly as (c x + d y) + f: addition commutes.
+    np.multiply(y, m.d, out=out[:, 1])
+    out[:, 1] += m.c * x
+    out[:, 1] += m.f
+    np.multiply(x, m.a, out=out[:, 0])
+    out[:, 0] += m.e
+    return out
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,10 @@ def render_svg(path, spec: PlotSpec = PlotSpec(), datasets=None, family=None, cl
 def _dot_paths(points, panel, chunk_size=2000):
     """Cloud dots as zero-length path segments, chunked to keep lines sane."""
     _, px, py = panel.project(points)
-    moves = list(map("M{:.2f} {:.2f}h0".format, px.tolist(), py.tolist()))
-    for lo in range(0, len(moves), chunk_size):
-        yield "".join(moves[lo:lo + chunk_size])
+    flat = np.column_stack((px, py)).ravel().tolist()
+    for lo in range(0, len(px), chunk_size):
+        hi = min(lo + chunk_size, len(px))
+        yield "M%.2f %.2fh0" * (hi - lo) % tuple(flat[2 * lo:2 * hi])
 
 
 def _polyline_runs(curve, panel):

@@ -1,24 +1,74 @@
-"""The array kernels for dedup and export against the per-point code they replaced.
+"""The array kernels for the attractor and export against the code they replaced.
 
-The reference functions below are the earlier scalar implementations, kept
-verbatim as oracles. The arithmetic is unchanged, so results must be equal
-array for array and byte for byte, on inputs chosen to hit every boundary:
-range ends, exact .5 pixel coordinates, clamped rows and columns, dedup cell
-boundaries, duplicates, signed zeros and ties in x.
+The reference functions below are the earlier implementations, kept
+verbatim as oracles (the Hausdorff reference is plain brute force). The
+arithmetic is unchanged, so results must be equal array for array and byte
+for byte, on inputs chosen to hit every boundary: range ends, exact .5
+pixel coordinates, clamped rows and columns, dedup cell boundaries and key
+widths, duplicates, signed zeros, ties in x and crowded x-strips.
 """
 
 import numpy as np
 import pytest
 
-from gdfif import AttractorCloud, DataSet, PlotSpec, export_csv, fixed_point, render_pgm, render_svg
-from gdfif.attractor import _dedup
+from gdfif import (
+    AttractorCloud,
+    DataSet,
+    PlotSpec,
+    WiringPlan,
+    build_system,
+    export_csv,
+    fixed_point,
+    hutchinson_step,
+    iterate_attractor,
+    render_pgm,
+    render_svg,
+)
+from gdfif import attractor
+from gdfif.attractor import _dedup, data_clouds, directed_hausdorff
+from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
+from conftest import EX2_POINTS_1, EX2_POINTS_2
+
+BUNDLED = ("example1", "example2", "example2b", "flat")
+
+
+def bundled_system(name):
+    cfg = load_config(bundled_config_path(name))
+    return cfg, build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
 
 
 def dedup_reference(points, tol):
     keys = np.round(points / tol).astype(np.int64)
     _, index = np.unique(keys, axis=0, return_index=True)
     return points[np.sort(index)]
+
+
+def transform_points_reference(m, points):
+    x = points[:, 0]
+    y = points[:, 1]
+    return np.column_stack((m.a * x + m.e, m.c * x + m.d * y + m.f))
+
+
+def hutchinson_step_reference(system, clouds):
+    out = []
+    for alpha in range(1, system.n + 1):
+        parts = [
+            transform_points_reference(m, clouds[m.source_vertex - 1].points)
+            for m in system.maps_for(alpha)
+        ]
+        out.append(AttractorCloud(alpha, np.vstack(parts), clouds[alpha - 1].generation + 1))
+    return tuple(out)
+
+
+def directed_hausdorff_reference(p, q, rows=32):
+    qx, qy = q[:, 0].copy(), q[:, 1].copy()
+    best = []
+    for lo in range(0, len(p), rows):
+        dx = np.abs(qx - p[lo:lo + rows, 0, None])
+        dy = np.abs(qy - p[lo:lo + rows, 1, None])
+        best.append(np.maximum(dx, dy, out=dx).min(axis=1))
+    return float(np.concatenate(best).max())
 
 
 def export_csv_reference(path, family=None, clouds=None):
@@ -158,16 +208,111 @@ def edge_clouds(rng):
     return (AttractorCloud(1, pts, 0), AttractorCloud(2, pts[::-1] * 0.5 + 1.0, 0))
 
 
-def test_dedup_matches_unique_reference(rng):
+def _dedup_spied(points, tol, monkeypatch):
+    """_dedup's result, and whether it took the two-column lexsort."""
+    calls = []
+    lexsort = np.lexsort
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        got = _dedup(points, tol)
+    return got, bool(calls)
+
+
+def test_dedup_matches_unique_reference(rng, monkeypatch):
     tol = 0.25
     cells = rng.integers(-8, 8, size=(4000, 2)) * tol
     on_boundaries = cells + tol / 2  # points / tol lands exactly on .5
     jittered = cells + rng.uniform(-tol, tol, size=cells.shape)
     pts = np.vstack([on_boundaries, jittered, cells, cells[:100], [[-0.0, 0.0], [0.0, -0.0]]])
-    for t in (tol, 1e-3, 3.0):
-        assert np.array_equal(_dedup(pts, t), dedup_reference(pts, t))
-    single = np.array([[1.0, 2.0]])
-    assert np.array_equal(_dedup(single, tol), single)
+    # 2**31 x 2**30 cells above 2 row-index bits fill the 63 bits exactly: the
+    # last row, in the last cell, packs to 2**63 - 1. One more row of cells
+    # does not fit and takes the lexsort.
+    lo, hi = -2.0**30, 2.0**30 - 1
+    at_limit = np.array([[lo, 0.0], [hi, 2.0**30 - 1], [lo, 0.0], [hi, 2.0**30 - 1]])
+    past_limit = at_limit + [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]]
+    cases = [(pts, t, False) for t in (tol, 1e-3, 3.0)]
+    cases += [(pts, 1e-15, True), (at_limit, 1.0, False), (past_limit, 1.0, True),
+              (np.array([[1.0, 2.0]]), tol, False)]
+    for points, t, lexsorted in cases:
+        got, took_lexsort = _dedup_spied(points, t, monkeypatch)
+        assert np.array_equal(got, dedup_reference(points, t))
+        assert took_lexsort == lexsorted
+    assert np.array_equal(_dedup(at_limit, 1.0), at_limit[:2])
+
+
+def _three_vertex_system():
+    # No map reads from vertex 3, which is built from vertices 1 and 2 only.
+    datasets = [DataSet(EX2_POINTS_1), DataSet(EX2_POINTS_2),
+                DataSet(((0.0, 0.0), (1.0, 1.5), (2.0, -0.5)))]
+    plan = WiringPlan.from_pairs([[(1, 0.3), (2, -0.2), (2, 0.4), (1, 0.1), (2, 0.5)],
+                                  [(2, 0.3), (1, 0.2), (1, -0.6), (2, 0.25)],
+                                  [(1, 0.5), (2, -0.3)]])
+    return build_system(datasets, plan)
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("three-vertex",))
+def test_hutchinson_step_matches_vstack_reference(name):
+    if name == "three-vertex":
+        system, generations, tol = _three_vertex_system(), 6, 1e-3
+    else:
+        cfg, system = bundled_system(name)
+        generations, tol = cfg.generations, cfg.dedup_tol
+    clouds = data_clouds(system)
+    for _ in range(generations):
+        got = hutchinson_step(system, clouds)
+        want = hutchinson_step_reference(system, clouds)
+        for g, w in zip(got, want):
+            assert (g.vertex, g.generation) == (w.vertex, w.generation)
+            assert np.array_equal(g.points, w.points)
+        clouds = tuple(AttractorCloud(c.vertex, _dedup(c.points, tol), c.generation)
+                       for c in got)
+
+
+def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
+    finished = []
+    finish = attractor._finish_brute
+    monkeypatch.setattr(attractor, "_finish_brute",
+                        lambda *a: finished.append(len(a[-1])) or finish(*a))
+    grid = rng.integers(-3, 4, size=(300, 2)) * 0.5  # ties in x, equal distances, duplicates
+    line = np.column_stack((np.linspace(-1.0, 1.0, 501), np.full(501, 0.25)))
+    column = np.full((20_000, 2), 0.5)
+    column[:, 1] = rng.uniform(0.0, 1.0, 20_000)
+    column_q = column.copy()
+    column_q[:, 1] = rng.uniform(0.0, 1.0, 20_000)
+    cases = [
+        (grid, grid[::-1]),
+        (grid, np.vstack([grid[:50], grid[:50]])),
+        (np.array([[0.5, -0.5]]), np.array([[0.5, -0.5]])),
+        (np.array([[0.0, 0.0]]), grid),
+        (grid, np.array([[0.0, 0.0]])),
+        (line, line[::7] + [0.0, 0.125]),
+        (line, grid),
+        (rng.normal(size=(2000, 2)), rng.normal(size=(3000, 2)) * [1e-3, 1e3]),
+        (rng.uniform(size=(2000, 2)), rng.uniform(size=(3000, 2))),
+        # The first candidates are far; the next one on the right (left) is nearest.
+        (np.array([[0.0, 0.0]]), np.array([[0.0, 10.0], [0.5, 0.0], [20.0, 0.0]])),
+        (np.array([[0.0, 0.0]]), np.array([[-20.0, 0.0], [-0.5, 0.0], [-0.1, 10.0], [0.0, 10.0]])),
+    ]
+    for p, q in cases:
+        assert directed_hausdorff(p, q) == directed_hausdorff_reference(p, q)
+        assert directed_hausdorff(q, p) == directed_hausdorff_reference(q, p)
+    finished.clear()
+    # Every point of one vertical line has all of the other in its x-strip.
+    assert directed_hausdorff(column, column_q) == directed_hausdorff_reference(column, column_q)
+    assert finished and finished[0] > 10_000
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_directed_hausdorff_matches_ckdtree_on_bundled_clouds(name):
+    spatial = pytest.importorskip("scipy.spatial")
+    cfg, system = bundled_system(name)
+    family = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters).family
+    clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
+    for cloud, fn in zip(clouds, family):
+        graph = fn.as_points()
+        for p, q in ((cloud.points, graph), (graph, cloud.points)):
+            want = float(np.max(spatial.cKDTree(q).query(p, k=1, p=np.inf)[0]))
+            assert directed_hausdorff(p, q) == want
 
 
 @pytest.mark.parametrize("spec", [EXACT, PlotSpec(width=300, height=200, margin=7), PlotSpec()])

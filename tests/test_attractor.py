@@ -98,7 +98,7 @@ def test_iterate_attractor_dedup_spacing(ex1_system):
 
 
 def test_iterate_attractor_budget_guard(ex1_system):
-    with pytest.raises(CloudBudgetError):
+    with pytest.raises(CloudBudgetError, match="fewer generations or a larger dedup_tol"):
         iterate_attractor(ex1_system, 20, 1e-9, max_points=10_000)
 
 

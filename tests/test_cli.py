@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import gdfif
 from gdfif import STRICT_MODE
@@ -87,6 +88,47 @@ def test_parse_error_carries_position(tmp_path):
     p = write_config(tmp_path, "datasets: [points: [[0,0]\n")
     with pytest.raises(ConfigError, match="line"):
         load_config(p)
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+
+
+@needs_libyaml
+@pytest.mark.parametrize("text", [
+    "datasets: [points: [[0,0]\n",
+    "datasets: {points: [[0, 0]\n",
+    "datasets: a: b\n",
+    "datasets:\n\t- 1\n",
+    "datasets: &x 1\nwiring: *y\n",
+    "- a\nb: c\n",
+])
+def test_parse_error_is_the_same_with_and_without_libyaml(tmp_path, monkeypatch, text):
+    p = write_config(tmp_path, text)
+    messages = []
+    for with_libyaml in (True, False):
+        monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+        with pytest.raises(ConfigError, match="parse error") as exc:
+            load_config(p)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@needs_libyaml
+def test_valid_config_is_read_by_libyaml(monkeypatch):
+    loaded = []
+
+    class Counting(yaml.CSafeLoader):
+        def __init__(self, stream):
+            loaded.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Counting)
+    for name in ("example1", "example2", "example2b", "flat"):
+        with_libyaml = load_config(bundled_config_path(name))
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        assert load_config(bundled_config_path(name)) == with_libyaml
+        monkeypatch.setattr(yaml, "__with_libyaml__", True)
+    assert len(loaded) == 4
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -306,6 +348,15 @@ def test_import_does_not_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_run_does_not_load_scipy(tmp_path):
+    code = ("import sys; from gdfif.cli import main; "
+            f"code = main(['run', 'example1', '--outdir', {str(tmp_path)!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    proc = _run_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # Width-ratio violation: vertex 2's first interval (width 2) is wider than
