@@ -5,13 +5,18 @@ standard output, recorded before the transfer operator was batched
 (x86-64, Python 3.11, numpy 2.4). Speed work must leave every byte as it
 is; a change that means to alter an artifact updates its digest here and
 says why in CHANGES.md.
+
+example1 is the only bundled config that writes a chaos CSV, and its one
+vertex draws no random word for the vertex choice. The example2 chaos
+digest covers a two-vertex walk; it was recorded before the chaos game's
+draws were batched.
 """
 
 import hashlib
 
 import pytest
 
-from gdfif.cli import main
+from gdfif.cli import bundled_config_path, main
 
 GOLDEN = {
     "example1": {
@@ -72,3 +77,17 @@ def test_bundled_run_artifacts_are_byte_identical(name, tmp_path, capsys):
                for p in sorted(tmp_path.iterdir())}
     digests["<stdout>"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == GOLDEN[name]
+
+
+EXAMPLE2_CHAOS_CSV = "580be09d3a5decf985e81a2fdc09b0be44e715e2e7b1ce4cb2582f0bb55e35d3"
+
+
+def test_example2_chaos_csv_is_byte_identical(tmp_path):
+    # example2.yaml lists no chaos_csv output, so the test adds one.
+    config = tmp_path / "example2.yaml"
+    config.write_text(bundled_config_path("example2").read_text()
+                      + "  chaos_csv: example2_chaos.csv\n")
+    outdir = tmp_path / "out"
+    assert main(["run", str(config), "--chaos-points", "5000", "--outdir", str(outdir)]) == 0
+    digest = hashlib.sha256((outdir / "example2_chaos.csv").read_bytes()).hexdigest()
+    assert digest == EXAMPLE2_CHAOS_CSV
