@@ -9,11 +9,12 @@ on the attractor exactly and only has to fill it in.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import GifsSystem, apply_map, transform_points
+from .maps import GifsSystem, transform_points
 
 
 class CloudBudgetError(RuntimeError):
@@ -29,7 +30,18 @@ class AttractorCloud:
     generation: int
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        self._keep(np.array(self.points, dtype=float))
+
+    @classmethod
+    def _adopt(cls, vertex: int, points: np.ndarray, generation: int) -> AttractorCloud:
+        """A cloud that keeps `points`, a fresh float64 array no caller holds, uncopied."""
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "vertex", vertex)
+        object.__setattr__(cloud, "generation", generation)
+        cloud._keep(points)
+        return cloud
+
+    def _keep(self, pts: np.ndarray) -> None:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (k, 2) array")
         pts.setflags(write=False)
@@ -69,7 +81,7 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
         for m, pts in zip(maps, sources):
             transform_points(m, pts, out=images[lo:lo + len(pts)])
             lo += len(pts)
-        out.append(AttractorCloud(alpha, images, clouds[alpha - 1].generation + 1))
+        out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1))
     return tuple(out)
 
 
@@ -147,10 +159,16 @@ def iterate_attractor(
         clouds = hutchinson_step(system, clouds)
         if dedup_tolerance > 0:
             clouds = tuple(
-                AttractorCloud(c.vertex, _dedup(c.points, dedup_tolerance), c.generation)
+                AttractorCloud._adopt(c.vertex, _dedup(c.points, dedup_tolerance), c.generation)
                 for c in clouds
             )
     return clouds
+
+
+# Chaos steps walked between copies of their points into one array.
+_WALK_BLOCK = 8192
+# Random 32-bit words are held in uint64 (or int) so products with a span fit.
+_WORD = 1 << 32
 
 
 def chaos_game(
@@ -166,35 +184,114 @@ def chaos_game(
     its maps uniformly, applies the map to the current point of the map's
     source vertex, and makes the image the target's new current point. A
     vertex's first `burn_in` emissions are discarded. Fully deterministic
-    for a given seed.
+    for a given seed: the picks are those of `integers(1, n + 1)` and then
+    `integers(0, maps)` on `np.random.default_rng(seed)`, drawn in bulk
+    (see `_draws`).
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if total_points <= burn_in:
         raise ValueError("total_points must exceed burn_in")
-    rng = np.random.default_rng(seed)
     n = system.n
+    counts = [len(system.maps_for(alpha)) for alpha in range(1, n + 1)]
+    vertex, index = _draws(np.random.default_rng(seed).bit_generator, n, counts, total_points)
+    table = [
+        (m.a, m.e, m.c, m.d, m.f, m.source_vertex - 1, target)
+        for target, maps in enumerate(system.maps) for m in maps
+    ]
     current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
-    kept: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    emitted = [0] * n
-    for _ in range(total_points):
-        alpha = int(rng.integers(1, n + 1))
-        vertex_maps = system.maps_for(alpha)
-        m = vertex_maps[int(rng.integers(0, len(vertex_maps)))]
-        point = apply_map(m, current[m.source_vertex - 1])
-        current[alpha - 1] = point
-        emitted[alpha - 1] += 1
-        if emitted[alpha - 1] > burn_in:
-            kept[alpha - 1].append(point)
-    for alpha, pts in enumerate(kept, start=1):
-        if not pts:
+    points = np.empty((total_points, 2))
+    for lo in range(0, total_points, _WALK_BLOCK):
+        walk = []
+        append = walk.append
+        # The same operations in the same order as apply_map, so the same rounding.
+        for a, e, c, d, f, source, target in map(
+                table.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
+            x, y = current[source]
+            current[target] = point = (a * x + e, c * x + d * y + f)
+            append(point)
+        points[lo:lo + len(walk)] = walk
+    clouds = []
+    for alpha in range(1, n + 1):
+        pts = points[vertex == alpha - 1][burn_in:]
+        if not len(pts):
             raise ValueError(
                 f"vertex {alpha} kept no points past burn-in; increase total_points"
             )
-    return tuple(
-        AttractorCloud(alpha, np.array(pts), total_points)
-        for alpha, pts in enumerate(kept, start=1)
-    )
+        clouds.append(AttractorCloud._adopt(alpha, pts, total_points))
+    return tuple(clouds)
+
+
+def _draws(bit_generator, n: int, counts: list[int], steps: int):
+    """Each step's target vertex (from 0) and flat map index, as drawn by
+    `integers(1, n + 1)` and then `integers(0, counts[vertex])` per step.
+
+    When every vertex has two or more maps, each step reads the same number
+    of words, so all of them are read at once and mapped by `_lemire`. If a
+    word would be rejected, or some vertex has a single map (whose draw
+    reads no word), the steps are replayed one draw at a time by `_draw`.
+    """
+    offsets = list(itertools.accumulate(counts[:-1], initial=0))
+    stream = _words(bit_generator)
+    if min(counts) > 1:
+        per_step = 1 + (n > 1)
+        words = _split(bit_generator.random_raw(-(-steps * per_step // 2)))
+        step_words = words[:steps * per_step].reshape(steps, per_step)
+        vertex, fits = np.zeros(steps, dtype=np.int64), True
+        if n > 1:
+            vertex, fits = _lemire(step_words[:, 0], n)
+        spans = np.array(counts, dtype=np.uint64)[vertex]
+        index, fits_maps = _lemire(step_words[:, -1], spans)
+        if fits and fits_maps:
+            return vertex, np.array(offsets)[vertex] + index
+        stream = itertools.chain(words.tolist(), stream)
+    vertex, index = [], []
+    for _ in range(steps):
+        v = _draw(stream, n)
+        vertex.append(v)
+        index.append(offsets[v] + _draw(stream, counts[v]))
+    return np.array(vertex, dtype=np.int64), np.array(index, dtype=np.int64)
+
+
+def _lemire(words, span):
+    """Lemire's map of 32-bit words onto [0, span), and whether it kept them all.
+
+    NumPy's `Generator.integers(0, span)`, for 1 < span < 2**32, returns
+    (w * span) >> 32 for the first word w it reads for which
+    (w * span) mod 2**32 is at least (2**32 - span) mod span. `span` is an
+    int or a uint64 array of one span per word.
+    """
+    span = np.asarray(span, dtype=np.uint64)
+    m = words * span
+    threshold = (np.uint64(_WORD) - span) % span
+    return (m >> np.uint64(32)).astype(np.int64), not np.any(m & np.uint64(_WORD - 1) < threshold)
+
+
+def _draw(words, span: int) -> int:
+    """One `Generator.integers(0, span)` draw, 1 <= span < 2**32, from the
+    iterator `words`; a span of 1 reads no word."""
+    if span == 1:
+        return 0
+    threshold = (_WORD - span) % span
+    m = next(words) * span
+    while m % _WORD < threshold:
+        m = next(words) * span
+    return m >> 32
+
+
+def _words(bit_generator):
+    """The endless stream of 32-bit words `Generator.integers` reads from a
+    fresh generator, one that holds no unused half of an output."""
+    while True:
+        yield from _split(bit_generator.random_raw(1024)).tolist()
+
+
+def _split(raw: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit outputs as 32-bit words (in uint64), low half first."""
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & np.uint64(_WORD - 1)
+    words[1::2] = raw >> np.uint64(32)
+    return words
 
 
 # Window steps double the candidates scanned per side: 1, 2, 4, ...  A point

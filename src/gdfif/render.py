@@ -48,6 +48,10 @@ class PlotSpec:
         return self.colors[(alpha - 1) % len(self.colors)]
 
 
+# Rows formatted by one `%` call each time.
+_CSV_BLOCK = 10_000
+
+
 def export_csv(path, family=None, clouds=None) -> None:
     """Write `vertex,x,y` rows with 17 significant digits, sorted by (vertex, x, y).
 
@@ -63,10 +67,15 @@ def export_csv(path, family=None, clouds=None) -> None:
     vertex, x, y = (np.concatenate(col) for col in zip(*parts)) if parts else (np.empty(0),) * 3
     # Stable, and -0.0 ties with 0.0, exactly as sorting (vertex, x, y) tuples does.
     order = np.lexsort((y, x, vertex))
+    flat = [None] * (3 * len(order))
+    flat[0::3] = vertex[order].tolist()
+    flat[1::3] = x[order].tolist()
+    flat[2::3] = y[order].tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("vertex,x,y\n")
-        fh.writelines(map("{},{:.17g},{:.17g}\n".format,
-                          vertex[order].tolist(), x[order].tolist(), y[order].tolist()))
+        for lo in range(0, len(order), _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, len(order))
+            fh.write("%d,%.17g,%.17g\n" * (hi - lo) % tuple(flat[3 * lo:3 * hi]))
 
 
 def _content_by_vertex(datasets, family, clouds):

@@ -6,6 +6,10 @@ arithmetic is unchanged, so results must be equal array for array and byte
 for byte, on inputs chosen to hit every boundary: range ends, exact .5
 pixel coordinates, clamped rows and columns, dedup cell boundaries and key
 widths, duplicates, signed zeros, ties in x and crowded x-strips.
+
+The chaos game draws its random numbers in bulk by NumPy's own rule for
+`Generator.integers`; the loop it replaced calls `integers` twice per step,
+so equal clouds mean the seeded stream is the same.
 """
 
 import numpy as np
@@ -14,9 +18,11 @@ import pytest
 from gdfif import (
     AttractorCloud,
     DataSet,
+    GifsSystem,
     PlotSpec,
     WiringPlan,
     build_system,
+    chaos_game,
     export_csv,
     fixed_point,
     hutchinson_step,
@@ -25,10 +31,12 @@ from gdfif import (
     render_svg,
 )
 from gdfif import attractor
-from gdfif.attractor import _dedup, data_clouds, directed_hausdorff
+from gdfif.attractor import _dedup, _draw, _draws, _words, data_clouds, directed_hausdorff
+from gdfif.maps import apply_map
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
+from support import random_dataset
 
 BUNDLED = ("example1", "example2", "example2b", "flat")
 
@@ -59,6 +67,36 @@ def hutchinson_step_reference(system, clouds):
         ]
         out.append(AttractorCloud(alpha, np.vstack(parts), clouds[alpha - 1].generation + 1))
     return tuple(out)
+
+
+def chaos_game_reference(system, total_points, burn_in=0, seed=0):
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    if total_points <= burn_in:
+        raise ValueError("total_points must exceed burn_in")
+    rng = np.random.default_rng(seed)
+    n = system.n
+    current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
+    kept: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    emitted = [0] * n
+    for _ in range(total_points):
+        alpha = int(rng.integers(1, n + 1))
+        vertex_maps = system.maps_for(alpha)
+        m = vertex_maps[int(rng.integers(0, len(vertex_maps)))]
+        point = apply_map(m, current[m.source_vertex - 1])
+        current[alpha - 1] = point
+        emitted[alpha - 1] += 1
+        if emitted[alpha - 1] > burn_in:
+            kept[alpha - 1].append(point)
+    for alpha, pts in enumerate(kept, start=1):
+        if not pts:
+            raise ValueError(
+                f"vertex {alpha} kept no points past burn-in; increase total_points"
+            )
+    return tuple(
+        AttractorCloud(alpha, np.array(pts), total_points)
+        for alpha, pts in enumerate(kept, start=1)
+    )
 
 
 def directed_hausdorff_reference(p, q, rows=32):
@@ -350,19 +388,160 @@ def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_
         assert (tmp_path / f"new{k}.svg").read_bytes() == (tmp_path / f"ref{k}.svg").read_bytes()
 
 
+class _NoRows:
+    """A vertex with no points, which export_csv must pass over."""
+
+    def __init__(self, vertex):
+        self.vertex = vertex
+        self.points = np.empty((0, 2))
+
+    def __len__(self):
+        return 0
+
+
 def test_export_csv_matches_tuple_sort_reference(ex2_system, rng, tmp_path):
     # Signed zeros tie with each other, equal x with different y, repeated
     # rows, and vertices listed out of order.
     a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [1.0, 3.0], [1.0, -3.0],
                   [1.0, 3.0], [-0.0, -0.0], [0.0, 0.0]])
     b = np.vstack([a[::-1], rng.integers(-3, 3, size=(200, 2)) * 0.5])
+    # Infinities anywhere; NaN only where an earlier key decides the order,
+    # because NaN compares neither less nor greater in the tuple sort.
+    inf, nan = np.inf, np.nan
+    c = np.array([[inf, 1.0], [-inf, -0.0], [inf, -inf], [-inf, inf], [2.0, nan],
+                  [-0.0, inf], [0.0, -inf], [-2.0, -0.0]])
     cases = [
         dict(clouds=(AttractorCloud(2, b, 0), AttractorCloud(1, a, 0), AttractorCloud(2, a, 0))),
         dict(clouds=(AttractorCloud(1, rng.normal(size=(500, 2)), 3),)),
         dict(clouds=()),
+        dict(clouds=(AttractorCloud(3, [[nan, nan]], 0), _NoRows(2), AttractorCloud(1, c, 0))),
+        dict(clouds=(AttractorCloud(1, rng.normal(size=(25_000, 2)), 0), _NoRows(2))),
         dict(family=fixed_point(ex2_system, 64, 1e-9, 200).family),
     ]
     for k, case in enumerate(cases):
         export_csv(tmp_path / f"new{k}.csv", **case)
         export_csv_reference(tmp_path / f"ref{k}.csv", **case)
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def _wide_system(rng):
+    # 8 vertices x 40 intervals, every interval far narrower than any span
+    datasets = [random_dataset(rng, n_points=41, span=float(rng.uniform(8.0, 12.0)))
+                for _ in range(8)]
+    plan = WiringPlan.from_pairs([
+        [(int(rng.integers(1, 9)), float(rng.uniform(-0.5, 0.5))) for _ in range(40)]
+        for _ in range(8)
+    ])
+    return build_system(datasets, plan)
+
+
+def _single_map_system():
+    # build_system gives every vertex two or more maps; chaos_game accepts
+    # any GifsSystem, so vertex 3 is cut to one map, whose draw reads no word.
+    system = _three_vertex_system()
+    maps = (*system.maps[:2], system.maps[2][:1])
+    return GifsSystem(system.datasets, system.plan, maps, system.r)
+
+
+def _chaos_system(name):
+    if name == "wide":
+        return _wide_system(np.random.default_rng(808))
+    if name == "three-vertex":
+        return _three_vertex_system()
+    if name == "single-map":
+        return _single_map_system()
+    return bundled_system(name)[1]
+
+
+def assert_same_chaos(system, total_points, burn_in, seed):
+    got = chaos_game(system, total_points, burn_in, seed)
+    want = chaos_game_reference(system, total_points, burn_in, seed)
+    assert len(got) == len(want) == system.n
+    for g, w in zip(got, want):
+        assert (g.vertex, g.generation) == (w.vertex, w.generation)
+        assert g.points.tobytes() == w.points.tobytes()
+        assert not g.points.flags.writeable
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "three-vertex", "single-map"))
+def test_chaos_game_matches_loop_reference(name):
+    system = _chaos_system(name)
+    for seed in (0, 7, 2024):
+        assert_same_chaos(system, 3001, 0, seed)
+        assert_same_chaos(system, 3001, 25, seed)
+    # The largest burn-in a one-vertex system allows keeps one point.
+    if system.n == 1:
+        assert_same_chaos(system, 500, 499, 3)
+
+
+def test_chaos_game_replays_the_drawn_words_after_a_rejection(monkeypatch):
+    # Forcing the batch to report a rejected word sends every step through
+    # the scalar replay, starting again from the words already read; an odd
+    # step count on one vertex leaves half a 64-bit output over.
+    lemire = attractor._lemire
+    monkeypatch.setattr(attractor, "_lemire", lambda words, span: (lemire(words, span)[0], False))
+    for name in ("example1", "example2"):
+        system = bundled_system(name)[1]
+        assert_same_chaos(system, 1001, 10, 5)
+    assert_same_chaos(_wide_system(np.random.default_rng(3)), 2000, 0, 11)
+
+
+@pytest.mark.parametrize("args", [(1000, -1), (100, 100), (100, 200), (4, 3)])
+def test_chaos_game_errors_match_loop_reference(args):
+    system = _wide_system(np.random.default_rng(808))
+    with pytest.raises(ValueError) as want:
+        chaos_game_reference(system, *args, seed=1)
+    with pytest.raises(ValueError) as got:
+        chaos_game(system, *args, seed=1)
+    assert str(got.value) == str(want.value)
+
+
+def test_draw_replays_generator_integers():
+    # Span 2**31 + 1 rejects about half its words and 3 * 2**30 a quarter;
+    # 2**32 - 1 rejects only the word 0. If NumPy changes its rule for
+    # Generator.integers, this fails first.
+    spans = (1, 2, 3, 40, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+    for seed in (0, 1, 99):
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(0, s)) for s in spans * 400]
+        words = _Counted(_words(np.random.default_rng(seed).bit_generator))
+        assert [_draw(words, s) for s in spans * 400] == want
+        # 2400 draws read a word each, and about 530 of them read more.
+        assert words.count > 2400 + 400
+
+
+def test_draws_replay_after_a_rejected_word():
+    # Word 0 is rejected for every span that is not a power of two, so a
+    # zero output in the stream sends the batch to the scalar replay.
+    raw = np.random.default_rng(5).bit_generator.random_raw(4000)
+    raw[[7, 600]] = 0
+    counts = [5, 3, 6]
+    vertex, index = _draws(_RawFrom(raw), 3, counts, 1500)
+    words, want = _words(_RawFrom(raw)), []
+    for _ in range(1500):
+        v = _draw(words, 3)
+        want.append((v, sum(counts[:v]) + _draw(words, counts[v])))
+    assert list(zip(vertex.tolist(), index.tolist())) == want
+
+
+class _RawFrom:
+    """A bit generator whose 64-bit outputs are the given array, in order."""
+
+    def __init__(self, raw):
+        self.raw, self.at = raw, 0
+
+    def random_raw(self, count):
+        self.at += count
+        return self.raw[self.at - count:self.at]
+
+
+class _Counted:
+    def __init__(self, it):
+        self.it, self.count = it, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.count += 1
+        return next(self.it)

@@ -158,3 +158,20 @@ def test_hausdorff_rejects_empty():
 def test_cloud_requires_points():
     with pytest.raises(ValueError):
         AttractorCloud(1, np.empty((0, 2)), 0)
+
+
+def test_cloud_copies_the_callers_array():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+    cloud = AttractorCloud(1, pts, 0)
+    pts[0, 0] = 9.0
+    assert np.array_equal(cloud.points, [[0.0, 1.0], [2.0, 3.0]])
+    assert pts.flags.writeable
+    assert not cloud.points.flags.writeable
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 9.0
+
+
+def test_generated_clouds_are_read_only(ex2_system):
+    clouds = (hutchinson_step(ex2_system, data_clouds(ex2_system))
+              + iterate_attractor(ex2_system, 2, 1e-3) + chaos_game(ex2_system, 500, 10, 1))
+    assert not any(c.points.flags.writeable for c in clouds)
