@@ -167,7 +167,7 @@ def iterate_attractor(
 
 # Chaos steps walked between copies of their points into one array.
 _WALK_BLOCK = 8192
-# Random 32-bit words are held in uint64 (or int) so products with a span fit.
+# Random 32-bit words are held in uint64 so products with a span fit.
 _WORD = 1 << 32
 
 
@@ -194,7 +194,7 @@ def chaos_game(
         raise ValueError("total_points must exceed burn_in")
     n = system.n
     counts = [len(system.maps_for(alpha)) for alpha in range(1, n + 1)]
-    vertex, index = _draws(np.random.default_rng(seed).bit_generator, n, counts, total_points)
+    vertex, index = _draws(seed, n, counts, total_points)
     table = [
         (m.a, m.e, m.c, m.d, m.f, m.source_vertex - 1, target)
         for target, maps in enumerate(system.maps) for m in maps
@@ -204,7 +204,7 @@ def chaos_game(
     for lo in range(0, total_points, _WALK_BLOCK):
         walk = []
         append = walk.append
-        # The same operations in the same order as apply_map, so the same rounding.
+        # transform_points's products and sums; addition commutes, so the same rounding.
         for a, e, c, d, f, source, target in map(
                 table.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
             x, y = current[source]
@@ -222,35 +222,36 @@ def chaos_game(
     return tuple(clouds)
 
 
-def _draws(bit_generator, n: int, counts: list[int], steps: int):
+def _draws(seed: int, n: int, counts: list[int], steps: int):
     """Each step's target vertex (from 0) and flat map index, as drawn by
-    `integers(1, n + 1)` and then `integers(0, counts[vertex])` per step.
+    `integers(1, n + 1)` and then `integers(0, counts[vertex])` per step
+    on `np.random.default_rng(seed)`.
 
     When every vertex has two or more maps, each step reads the same number
     of words, so all of them are read at once and mapped by `_lemire`. If a
     word would be rejected, or some vertex has a single map (whose draw
-    reads no word), the steps are replayed one draw at a time by `_draw`.
+    reads no word), the steps are drawn again one `integers` call at a time
+    from a fresh generator.
     """
-    offsets = list(itertools.accumulate(counts[:-1], initial=0))
-    stream = _words(bit_generator)
+    offsets = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
     if min(counts) > 1:
         per_step = 1 + (n > 1)
-        words = _split(bit_generator.random_raw(-(-steps * per_step // 2)))
-        step_words = words[:steps * per_step].reshape(steps, per_step)
+        raw = np.random.default_rng(seed).bit_generator.random_raw(-(-steps * per_step // 2))
+        step_words = _split(raw)[:steps * per_step].reshape(steps, per_step)
         vertex, fits = np.zeros(steps, dtype=np.int64), True
         if n > 1:
             vertex, fits = _lemire(step_words[:, 0], n)
         spans = np.array(counts, dtype=np.uint64)[vertex]
         index, fits_maps = _lemire(step_words[:, -1], spans)
         if fits and fits_maps:
-            return vertex, np.array(offsets)[vertex] + index
-        stream = itertools.chain(words.tolist(), stream)
-    vertex, index = [], []
-    for _ in range(steps):
-        v = _draw(stream, n)
-        vertex.append(v)
-        index.append(offsets[v] + _draw(stream, counts[v]))
-    return np.array(vertex, dtype=np.int64), np.array(index, dtype=np.int64)
+            return vertex, offsets[vertex] + index
+    rng = np.random.default_rng(seed)
+    vertex = np.empty(steps, dtype=np.int64)
+    index = np.empty(steps, dtype=np.int64)
+    for k in range(steps):
+        vertex[k] = v = rng.integers(1, n + 1) - 1
+        index[k] = rng.integers(0, counts[v])
+    return vertex, offsets[vertex] + index
 
 
 def _lemire(words, span):
@@ -265,25 +266,6 @@ def _lemire(words, span):
     m = words * span
     threshold = (np.uint64(_WORD) - span) % span
     return (m >> np.uint64(32)).astype(np.int64), not np.any(m & np.uint64(_WORD - 1) < threshold)
-
-
-def _draw(words, span: int) -> int:
-    """One `Generator.integers(0, span)` draw, 1 <= span < 2**32, from the
-    iterator `words`; a span of 1 reads no word."""
-    if span == 1:
-        return 0
-    threshold = (_WORD - span) % span
-    m = next(words) * span
-    while m % _WORD < threshold:
-        m = next(words) * span
-    return m >> 32
-
-
-def _words(bit_generator):
-    """The endless stream of 32-bit words `Generator.integers` reads from a
-    fresh generator, one that holds no unused half of an output."""
-    while True:
-        yield from _split(bit_generator.random_raw(1024)).tolist()
 
 
 def _split(raw: np.ndarray) -> np.ndarray:

@@ -189,6 +189,12 @@ def _parse_datasets(raw, base_dir: Path) -> tuple[DataSet, ...]:
             datasets.append(DataSet(tuple(parsed)))
         else:
             rows = read_points_csv(base_dir / str(entry["csv"]))
+            vertices = sorted({v for v, _, _ in rows})
+            if len(vertices) > 1:
+                raise ConfigError(
+                    f"dataset {k}: {entry['csv']} holds rows of vertices {vertices}; "
+                    f"a data set is one vertex's points"
+                )
             datasets.append(DataSet(tuple((x, y) for _, x, y in rows)))
     return tuple(datasets)
 
@@ -313,6 +319,8 @@ def _parse_config(raw: dict, path: Path) -> ProjectConfig:
         raise ConfigError(
             f"attractor.chaos_points ({chaos_points}) must exceed attractor.burn_in ({burn_in})"
         )
+    if "chaos_csv" in outputs_raw and chaos_points == 0:
+        raise ConfigError("outputs.chaos_csv needs attractor.chaos_points above 0")
 
     return ProjectConfig(
         name=str(raw.get("name", path.stem)),
@@ -366,7 +374,7 @@ def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
             export_csv(target, family=result.family)
         elif key == "cloud_csv":
             export_csv(target, clouds=clouds)
-        elif key == "chaos_csv" and chaos is not None:
+        elif key == "chaos_csv":
             export_csv(target, clouds=chaos)
         elif key == "svg":
             render_svg(target, spec, datasets=cfg.datasets, family=result.family,
@@ -412,7 +420,7 @@ def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
     result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
     clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
     chaos = None
-    if cfg.chaos_points > 0:
+    if "chaos_csv" in dict(cfg.outputs):  # the one output that reads the chaos clouds
         chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
     summary = None
     if args.command == "run":

@@ -12,6 +12,8 @@ The chaos game draws its random numbers in bulk by NumPy's own rule for
 so equal clouds mean the seeded stream is the same.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ from gdfif import (
     render_svg,
 )
 from gdfif import attractor
-from gdfif.attractor import _dedup, _draw, _draws, _words, data_clouds, directed_hausdorff
-from gdfif.maps import apply_map
+from gdfif.attractor import _dedup, _lemire, data_clouds, directed_hausdorff
+from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
@@ -475,9 +477,22 @@ def test_chaos_game_matches_loop_reference(name):
 
 
 def test_chaos_game_replays_the_drawn_words_after_a_rejection(monkeypatch):
-    # Forcing the batch to report a rejected word sends every step through
-    # the scalar replay, starting again from the words already read; an odd
-    # step count on one vertex leaves half a 64-bit output over.
+    # A rejected word sends every step to the `integers` calls on a fresh
+    # generator, which must walk the same steps. Word 0 is rejected for a
+    # span of 3, so zeroing the three-vertex system's vertex words in the
+    # batch makes _lemire report a rejection; the steps the fallback walks
+    # are those of the generator's own words.
+    split = attractor._split
+
+    def zero_vertex_words(raw):
+        words = split(raw)
+        words[0::2] = 0
+        return words
+
+    monkeypatch.setattr(attractor, "_split", zero_vertex_words)
+    assert_same_chaos(_three_vertex_system(), 2000, 0, 11)
+    monkeypatch.undo()
+    # Forcing the batch to report a rejection does the same on any system.
     lemire = attractor._lemire
     monkeypatch.setattr(attractor, "_lemire", lambda words, span: (lemire(words, span)[0], False))
     for name in ("example1", "example2"):
@@ -496,52 +511,83 @@ def test_chaos_game_errors_match_loop_reference(args):
     assert str(got.value) == str(want.value)
 
 
-def test_draw_replays_generator_integers():
+def integers_from_word(word, span):
+    """`Generator.integers(0, span)` with `word` as its next 32-bit word, and
+    whether it kept that word: a kept word leaves PCG64's state unread."""
+    bit_generator = np.random.PCG64(0)
+    state = bit_generator.state
+    bit_generator.state = {**state, "has_uint32": 1, "uinteger": int(word)}
+    value = int(np.random.Generator(bit_generator).integers(0, span))
+    return value, bit_generator.state["state"] == state["state"]
+
+
+def threshold_words(span):
+    """Words w for which w * span mod 2**32 is 0 or lies next to the rejection
+    threshold (2**32 - span) mod span, just below it, at it or just above it."""
+    step = math.gcd(span, 1 << 32)  # w * span mod 2**32 runs over its multiples
+    threshold = ((1 << 32) - span) % span
+    inverse = pow(span // step, -1, (1 << 32) // step)
+    residues = {0, threshold - step, threshold, threshold + step} - {-step}
+    return [r // step * inverse % ((1 << 32) // step) for r in sorted(residues)]
+
+
+def test_lemire_matches_generator_integers():
     # Span 2**31 + 1 rejects about half its words and 3 * 2**30 a quarter;
     # 2**32 - 1 rejects only the word 0. If NumPy changes its rule for
     # Generator.integers, this fails first.
-    spans = (1, 2, 3, 40, 2**31 + 1, 3 * 2**30, 2**32 - 1)
-    for seed in (0, 1, 99):
-        rng = np.random.default_rng(seed)
-        want = [int(rng.integers(0, s)) for s in spans * 400]
-        words = _Counted(_words(np.random.default_rng(seed).bit_generator))
-        assert [_draw(words, s) for s in spans * 400] == want
-        # 2400 draws read a word each, and about 530 of them read more.
-        assert words.count > 2400 + 400
+    for span in (2, 3, 40, 2**31 + 1, 3 * 2**30, 2**32 - 1):
+        words = [threshold_words(span)]
+        words += [np.random.default_rng(seed).integers(0, 1 << 32, 150) for seed in (0, 1, 99)]
+        words = np.concatenate(words).astype(np.uint64)
+        want = [integers_from_word(w, span) for w in words.tolist()]
+        got = [_lemire(words[k:k + 1], span) for k in range(len(words))]
+        assert [(int(v[0]), fits) for v, fits in got if fits] == [w for w in want if w[1]]
+        assert [fits for _, fits in got] == [kept for _, kept in want]
+        # One call on all the words maps each the same and keeps them all
+        # exactly when each is kept.
+        values, fits = _lemire(words, span)
+        assert values.tolist() == [int(v[0]) for v, _ in got]
+        assert fits == all(kept for _, kept in want)
+        assert fits == (span == 2)  # only a power of two rejects no word
 
 
-def test_draws_replay_after_a_rejected_word():
-    # Word 0 is rejected for every span that is not a power of two, so a
-    # zero output in the stream sends the batch to the scalar replay.
-    raw = np.random.default_rng(5).bit_generator.random_raw(4000)
-    raw[[7, 600]] = 0
-    counts = [5, 3, 6]
-    vertex, index = _draws(_RawFrom(raw), 3, counts, 1500)
-    words, want = _words(_RawFrom(raw)), []
-    for _ in range(1500):
-        v = _draw(words, 3)
-        want.append((v, sum(counts[:v]) + _draw(words, counts[v])))
-    assert list(zip(vertex.tolist(), index.tolist())) == want
+def apply_map_reference(m, point):
+    x, y = point
+    return (m.a * x + m.e, m.c * x + m.d * y + m.f)
 
 
-class _RawFrom:
-    """A bit generator whose 64-bit outputs are the given array, in order."""
+def endpoint_residuals_reference(system):
+    worst = 0.0
+    for alpha in range(1, system.n + 1):
+        target = system.dataset(alpha)
+        for m in system.maps_for(alpha):
+            source = system.dataset(m.source_vertex)
+            for src_pt, want in (
+                (source.first, target.points[m.target_interval - 1]),
+                (source.last, target.points[m.target_interval]),
+            ):
+                gx, gy = apply_map_reference(m, src_pt)
+                worst = max(worst, abs(gx - want[0]), abs(gy - want[1]))
+    return worst
 
-    def __init__(self, raw):
-        self.raw, self.at = raw, 0
 
-    def random_raw(self, count):
-        self.at += count
-        return self.raw[self.at - count:self.at]
+def test_endpoint_residuals_match_scalar_reference(rng):
+    systems = [bundled_system(name)[1] for name in BUNDLED]
+    systems += [_wide_system(np.random.default_rng(808)), _three_vertex_system()]
+    systems += [_wide_system(rng) for _ in range(5)]
+    worst = [endpoint_residuals(system) for system in systems]
+    assert worst == [endpoint_residuals_reference(system) for system in systems]
+    # Most endpoints miss by round-off, so the maximum itself is compared.
+    assert sum(w > 0 for w in worst) > len(systems) // 2
 
 
-class _Counted:
-    def __init__(self, it):
-        self.it, self.count = it, 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        self.count += 1
-        return next(self.it)
+def test_apply_map_matches_the_scalar_formula(rng):
+    system = _wide_system(np.random.default_rng(808))
+    maps = [m for row in system.maps for m in row]
+    points = [(0.0, -0.0), (1.5, 2), (np.inf, 1.0), (-3e300, 7e-310)]
+    points += [tuple(p) for p in rng.normal(scale=10.0, size=(40, 2))]
+    for m in maps[::7]:
+        for point in points:
+            got = apply_map(m, point)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(apply_map_reference(m, point)).tobytes()

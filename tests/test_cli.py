@@ -186,6 +186,17 @@ wiring:
     assert cfg.datasets[0].points == ((0.0, 0.0), (1.0, 2.0), (2.0, 0.0))
 
 
+def test_dataset_csv_of_several_vertices_is_rejected(tmp_path):
+    rows = "vertex,x,y\n1,0,0\n1,1,2\n1,2,0\n2,0,1\n2,3,0\n2,4,1\n"
+    (tmp_path / "curve.csv").write_text(rows)
+    text = MINIMAL.replace("points: [[0, 0], [1, 1], [2, 0]]", "csv: curve.csv")
+    with pytest.raises(ConfigError, match=r"dataset 1: curve.csv holds rows of vertices \[1, 2\]"):
+        load_config(write_config(tmp_path, text))
+    # One vertex's rows load, whatever its label.
+    (tmp_path / "curve.csv").write_text("vertex,x,y\n2,0,1\n2,3,0\n2,4,1\n")
+    assert load_config(tmp_path / "cfg.yaml").datasets[0].points == ((0, 1), (3, 0), (4, 1))
+
+
 def test_read_points_csv_three_column(tmp_path):
     p = tmp_path / "rows.csv"
     p.write_text("vertex,x,y\n2,0.5,1.5\n1,0.25,-3\n")
@@ -425,6 +436,36 @@ def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
     assert load_config(write_config(tmp_path, text)).chaos_points == 101
     text = MINIMAL + "attractor: {chaos_points: 0, burn_in: 100}\n"
     assert load_config(write_config(tmp_path, text)).chaos_points == 0
+
+
+def test_chaos_csv_without_chaos_points_is_a_config_error(tmp_path, capsys):
+    text = MINIMAL + "attractor: {chaos_points: 0}\noutputs: {chaos_csv: chaos.csv}\n"
+    runs = [[str(write_config(tmp_path, text))], ["example1", "--chaos-points", "0"]]
+    for args in runs:
+        outdir = tmp_path / "out"
+        assert main(["run", *args, "--outdir", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: outputs.chaos_csv needs attractor.chaos_points above 0\n"
+        assert captured.out == ""
+        assert not outdir.exists()
+
+
+def test_run_walks_the_chaos_game_only_for_a_chaos_csv(tmp_path, capsys, monkeypatch):
+    import gdfif.cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return gdfif.chaos_game(*args, **kwargs)
+
+    monkeypatch.setattr(gdfif.cli, "chaos_game", counting)
+    # example2.yaml lists no chaos_csv output, so no output reads a walk.
+    assert main(["run", "example2", "--chaos-points", "5000", "--outdir", str(tmp_path)]) == 0
+    assert calls == []
+    assert main(["run", "example1", "--chaos-points", "500", "--outdir", str(tmp_path)]) == 0
+    assert calls == [(500, 100, 7)]
+    capsys.readouterr()
 
 
 def test_flag_and_config_value_get_the_same_message(tmp_path, capsys):
