@@ -1,7 +1,7 @@
 """Config-driven command line: validate, run, eval, and render subcommands.
 
-Configs are YAML (schema documented in the README); setting flags are
-written into the config before it is checked. Exit codes: 0 success,
+Configs are YAML (schema documented in the README); a setting flag replaces
+the config's value and is checked like it. Exit codes: 0 success,
 1 validation violations, 2 structural, parse or range errors and clouds past
 their point budget, 3 solver non-convergence. All emitted artifacts are
 deterministic, so running the same config twice produces byte-identical files.
@@ -21,32 +21,32 @@ from pathlib import Path
 import yaml
 
 from .attractor import CloudBudgetError, chaos_game, hausdorff_distance, iterate_attractor
-from .funcspace import (
-    ConvergenceError,
-    _knot_residual,
-    evaluate_exact,
-    fixed_point,
-    interpolation_residual,
-)
+from .funcspace import ConvergenceError, _knot_residual, evaluate_exact, fixed_point
 from .maps import InvalidSystemError, build_system
 from .model import CONDITION3_MODES, STRICT_MODE, DataSet, WiringPlan, validate
 from .render import PlotSpec, export_csv, render_pgm, render_svg
 
 OUTDIR_ENV = "GDFIF_OUTDIR"
+CONFIG_KEYS = ("name", "datasets", "wiring", "solver", "attractor",
+               "condition3_mode", "outputs", "outdir")
 OUTPUT_KEYS = ("csv", "cloud_csv", "chaos_csv", "svg", "pgm", "summary")
-# (section, key, flag type) of every solver and attractor setting: the table
-# gives each section's allowed keys, the flags (max_iters -> --max-iters) and
-# the merge of given flags into the config before it is checked.
+# (section, key, flag type, default, least allowed value) of every solver and
+# attractor setting: the table gives each section's allowed keys, the flags
+# (max_iters -> --max-iters), and each value's default and inclusive lower
+# bound. 5e-324 is the least positive float, so `tol` must be positive.
 SETTINGS = (
-    ("solver", "resolution", int),
-    ("solver", "tol", float),
-    ("solver", "max_iters", int),
-    ("attractor", "generations", int),
-    ("attractor", "dedup_tol", float),
-    ("attractor", "chaos_points", int),
-    ("attractor", "burn_in", int),
-    ("attractor", "seed", int),
+    ("solver", "resolution", int, 64, 2),
+    ("solver", "tol", float, 1e-9, 5e-324),
+    ("solver", "max_iters", int, 200, 1),
+    ("attractor", "generations", int, 12, 1),
+    ("attractor", "dedup_tol", float, 1e-3, 0.0),
+    ("attractor", "chaos_points", int, 0, 0),
+    ("attractor", "burn_in", int, 100, 0),
+    ("attractor", "seed", int, 7, 0),
 )
+# Each wiring form lists items of these keys; an interval is a block of count 1.
+WIRING_FORMS = {"intervals": ("interval", ("source", "d")),
+                "blocks": ("block", ("source", "count", "d"))}
 
 
 class ConfigError(Exception):
@@ -111,22 +111,33 @@ def _number(value, what: str) -> float:
     raise ConfigError(f"{what}: expected a number, got {type(value).__name__}")
 
 
-def _integer(value, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _bounded(value, what: str, kind: type, least):
+    """An integer (kind int) or a number (kind float) no less than `least`."""
+    if kind is float:
+        value = _number(value, what)
+    elif isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{what}: {value} is below the minimum {minimum}")
+    if not value >= least:
+        raise ConfigError(f"{what} must be at least {least}, got {value}")
     return value
 
 
-def _section(raw: dict, name: str, path: Path) -> dict:
-    section = raw.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    bad = sorted(set(section) - {key for s, key, _ in SETTINGS if s == name})
-    if bad:
-        raise ConfigError(f"{path}: unknown {name} keys {bad}")
-    return section
+def _mapping(value, what: str, keys) -> dict:
+    """The mapping `value` (None reads as empty), with no key outside `keys`."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a mapping")
+    unknown = sorted(str(key) for key in value if key not in keys)
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {unknown}; known keys are {list(keys)}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a nonempty string, got {value!r}")
+    return value
 
 
 def read_points_csv(path) -> list[tuple[int, float, float]]:
@@ -172,7 +183,7 @@ def _parse_datasets(raw, base_dir: Path) -> tuple[DataSet, ...]:
         raise ConfigError("'datasets' must be a nonempty list, one entry per vertex")
     datasets = []
     for k, entry in enumerate(raw, start=1):
-        if not isinstance(entry, dict) or len(entry.keys() & {"points", "csv"}) != 1:
+        if len(_mapping(entry, f"dataset {k}", ("points", "csv"))) != 1:
             raise ConfigError(f"dataset {k}: give exactly one of 'points' or 'csv'")
         if "points" in entry:
             pts = entry["points"]
@@ -204,31 +215,19 @@ def _parse_wiring(raw) -> WiringPlan:
         raise ConfigError("'wiring' must be a nonempty list, one entry per vertex")
     per_vertex = []
     for k, entry in enumerate(raw, start=1):
-        if not isinstance(entry, dict) or len(entry.keys() & {"intervals", "blocks"}) != 1:
+        if len(_mapping(entry, f"wiring {k}", WIRING_FORMS)) != 1:
             raise ConfigError(f"wiring {k}: give exactly one of 'intervals' or 'blocks'")
+        ((form, items),) = entry.items()
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"wiring {k}: {form!r} must be a nonempty list")
+        noun, keys = WIRING_FORMS[form]
         pairs: list[tuple[int, float]] = []
-        if "intervals" in entry:
-            items = entry["intervals"]
-            if not isinstance(items, list) or not items:
-                raise ConfigError(f"wiring {k}: 'intervals' must be a nonempty list")
-            for i, item in enumerate(items, start=1):
-                if not isinstance(item, dict):
-                    raise ConfigError(f"wiring {k} interval {i}: expected a mapping")
-                pairs.append((
-                    _integer(item.get("source"), f"wiring {k} interval {i} source", 1),
-                    _number(item.get("d"), f"wiring {k} interval {i} d"),
-                ))
-        else:
-            items = entry["blocks"]
-            if not isinstance(items, list) or not items:
-                raise ConfigError(f"wiring {k}: 'blocks' must be a nonempty list")
-            for b, item in enumerate(items, start=1):
-                if not isinstance(item, dict):
-                    raise ConfigError(f"wiring {k} block {b}: expected a mapping")
-                count = _integer(item.get("count"), f"wiring {k} block {b} count", 1)
-                source = _integer(item.get("source"), f"wiring {k} block {b} source", 1)
-                d = _number(item.get("d"), f"wiring {k} block {b} d")
-                pairs.extend([(source, d)] * count)
+        for i, item in enumerate(items, start=1):
+            what = f"wiring {k} {noun} {i}"
+            item = _mapping(item, what, keys)
+            count = _bounded(item.get("count"), f"{what} count", int, 1) if "count" in keys else 1
+            source = _bounded(item.get("source"), f"{what} source", int, 1)
+            pairs.extend([(source, _number(item.get("d"), f"{what} d"))] * count)
         per_vertex.append(pairs)
     return WiringPlan.from_pairs(per_vertex)
 
@@ -241,24 +240,21 @@ def load_config(path) -> ProjectConfig:
     Mathematical violations are left to `validate`.
     """
     path = Path(path)
-    return _parse_config(_read_config(path), path)
+    return _parse_config(_read_config(path), path, {})
 
 
-def _read_config(path: Path) -> dict:
+def _read_config(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        raw = _safe_load(text)
+        return _safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ConfigError(f"parse error in {path}{where}: {problem}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return raw
 
 
 def _safe_load(text: str):
@@ -276,13 +272,9 @@ def _safe_load(text: str):
     return yaml.safe_load(text)
 
 
-def _parse_config(raw: dict, path: Path) -> ProjectConfig:
-    known = {"name", "datasets", "wiring", "solver", "attractor",
-             "condition3_mode", "outputs", "outdir"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; known keys are {sorted(known)}")
-
+def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
+    """Check the parsed YAML `raw`; a setting in `flags` replaces the config's value."""
+    raw = _mapping(raw, f"{path}: top level", CONFIG_KEYS)
     datasets = _parse_datasets(raw.get("datasets"), path.parent)
     plan = _parse_wiring(raw.get("wiring"))
     if plan.n != len(datasets):
@@ -290,53 +282,33 @@ def _parse_config(raw: dict, path: Path) -> ProjectConfig:
             f"{path}: {len(datasets)} datasets but wiring for {plan.n} vertices"
         )
 
-    solver = _section(raw, "solver", path)
-    attractor = _section(raw, "attractor", path)
+    sections = {s: _mapping(raw.get(s), f"section {s!r}", [k for t, k, *_ in SETTINGS if t == s])
+                for s in dict.fromkeys(row[0] for row in SETTINGS)}
+    settings = {key: _bounded(flags.get(key, sections[s].get(key, default)), f"{s}.{key}",
+                              kind, least)
+                for s, key, kind, default, least in SETTINGS}
 
-    mode = raw.get("condition3_mode", STRICT_MODE)
+    mode = flags.get("condition3_mode", raw.get("condition3_mode", STRICT_MODE))
     if mode not in CONDITION3_MODES:
         raise ConfigError(
             f"{path}: condition3_mode must be one of {list(CONDITION3_MODES)}, got {mode!r}"
         )
 
-    outputs_raw = raw.get("outputs") or {}
-    if not isinstance(outputs_raw, dict):
-        raise ConfigError(f"{path}: 'outputs' must be a mapping")
-    bad = sorted(set(outputs_raw) - set(OUTPUT_KEYS))
-    if bad:
-        raise ConfigError(f"{path}: unknown output keys {bad}; known keys are {list(OUTPUT_KEYS)}")
-    outputs = tuple((k, str(outputs_raw[k])) for k in OUTPUT_KEYS if k in outputs_raw)
-
-    tol = _number(solver.get("tol", 1e-9), "solver.tol")
-    if not tol > 0:
-        raise ConfigError("solver.tol must be positive")
-    dedup_tol = _number(attractor.get("dedup_tol", 1e-3), "attractor.dedup_tol")
-    if not dedup_tol >= 0:
-        raise ConfigError("attractor.dedup_tol must be nonnegative")
-    chaos_points = _integer(attractor.get("chaos_points", 0), "attractor.chaos_points", 0)
-    burn_in = _integer(attractor.get("burn_in", 100), "attractor.burn_in", 0)
-    if 0 < chaos_points <= burn_in:
+    outputs = _mapping(raw.get("outputs"), "section 'outputs'", OUTPUT_KEYS)
+    if "chaos_csv" in outputs and not settings["chaos_points"] > settings["burn_in"]:
         raise ConfigError(
-            f"attractor.chaos_points ({chaos_points}) must exceed attractor.burn_in ({burn_in})"
+            f"outputs.chaos_csv needs attractor.chaos_points ({settings['chaos_points']}) "
+            f"above attractor.burn_in ({settings['burn_in']})"
         )
-    if "chaos_csv" in outputs_raw and chaos_points == 0:
-        raise ConfigError("outputs.chaos_csv needs attractor.chaos_points above 0")
 
     return ProjectConfig(
         name=str(raw.get("name", path.stem)),
         datasets=datasets,
         plan=plan,
-        resolution=_integer(solver.get("resolution", 64), "solver.resolution", 2),
-        tol=tol,
-        max_iters=_integer(solver.get("max_iters", 200), "solver.max_iters", 1),
-        generations=_integer(attractor.get("generations", 12), "attractor.generations", 1),
-        dedup_tol=dedup_tol,
-        chaos_points=chaos_points,
-        burn_in=burn_in,
-        seed=_integer(attractor.get("seed", 7), "attractor.seed", 0),
-        condition3_mode=str(mode),
-        outputs=outputs,
-        outdir=str(raw["outdir"]) if "outdir" in raw else None,
+        condition3_mode=mode,
+        outputs=tuple((k, _text(outputs[k], f"outputs.{k}")) for k in OUTPUT_KEYS if k in outputs),
+        outdir=_text(raw["outdir"], "outdir") if "outdir" in raw else None,
+        **settings,
     )
 
 
@@ -408,7 +380,7 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
         "iterations": result.iterations,
         "final_delta": result.final_delta,
         "error_bound": result.error_bound,
-        "interpolation_residual": interpolation_residual(system, result.family),
+        "interpolation_residual": max(v["interpolation_residual"] for v in per_vertex),
         "hausdorff": worst_h,
         "per_vertex": per_vertex,
     }
@@ -441,23 +413,6 @@ def cmd_eval(cfg: ProjectConfig, outdir: Path, args) -> int:
     return 0
 
 
-def _merge_flags(raw: dict, args) -> dict:
-    """Write each given setting flag into the parsed config, which then checks it."""
-    for section, key, _ in SETTINGS:
-        value = getattr(args, key)
-        if value is not None and isinstance(raw.get(section) or {}, dict):
-            raw[section] = {**(raw.get(section) or {}), key: value}
-    if args.condition3_mode is not None:
-        raw["condition3_mode"] = args.condition3_mode
-    return raw
-
-
-def _resolve_outdir(cfg: ProjectConfig, args) -> Path:
-    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gdfif",
@@ -466,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="config file path or bundled config name")
     common.add_argument("--outdir", help=f"output directory (overrides ${OUTDIR_ENV})")
-    for _, key, kind in SETTINGS:
+    for _, key, kind, *_ in SETTINGS:
         common.add_argument("--" + key.replace("_", "-"), type=kind)
     common.add_argument("--condition3-mode", choices=CONDITION3_MODES)
 
@@ -491,8 +446,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         path = resolve_config_arg(args.config)
-        cfg = _parse_config(_merge_flags(_read_config(path), args), path)
-        outdir = _resolve_outdir(cfg, args)
+        keys = [row[1] for row in SETTINGS] + ["condition3_mode"]
+        flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
+        cfg = _parse_config(_read_config(path), path, flags)
+        outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
         return args.handler(cfg, outdir, args)
     except (ConfigError, CloudBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

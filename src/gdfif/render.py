@@ -50,6 +50,8 @@ class PlotSpec:
 
 # Rows formatted by one `%` call each time.
 _CSV_BLOCK = 10_000
+# Cloud dots per SVG path element, which keeps the lines a sane length.
+_DOT_CHUNK = 2000
 
 
 def export_csv(path, family=None, clouds=None) -> None:
@@ -204,12 +206,12 @@ def render_svg(path, spec: PlotSpec = PlotSpec(), datasets=None, family=None, cl
         fh.write("\n")
 
 
-def _dot_paths(points, panel, chunk_size=2000):
-    """Cloud dots as zero-length path segments, chunked to keep lines sane."""
+def _dot_paths(points, panel):
+    """Cloud dots as zero-length path segments, `_DOT_CHUNK` per path."""
     _, px, py = panel.project(points)
     flat = np.column_stack((px, py)).ravel().tolist()
-    for lo in range(0, len(px), chunk_size):
-        hi = min(lo + chunk_size, len(px))
+    for lo in range(0, len(px), _DOT_CHUNK):
+        hi = min(lo + _DOT_CHUNK, len(px))
         yield "M%.2f %.2fh0" * (hi - lo) % tuple(flat[2 * lo:2 * hi])
 
 

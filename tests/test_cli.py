@@ -12,6 +12,7 @@ import yaml
 import gdfif
 from gdfif import STRICT_MODE
 from gdfif.cli import (
+    OUTPUT_KEYS,
     SETTINGS,
     ConfigError,
     bundled_config_path,
@@ -140,6 +141,45 @@ def test_unknown_keys_rejected(tmp_path):
     bad_output = MINIMAL + "outputs: {csvv: out.csv}\n"
     with pytest.raises(ConfigError, match="output"):
         load_config(write_config(tmp_path, bad_output))
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL + "1: x\nfoo: y\n", "top level: unknown keys ['1', 'foo']"),
+    (MINIMAL + "solver: {1: x, foo: y}\n", "section 'solver': unknown keys ['1', 'foo']"),
+    (MINIMAL + "outputs: {1: x, foo: y}\n", "section 'outputs': unknown keys ['1', 'foo']"),
+    (MINIMAL.replace("- points: [[0, 0], [1, 1], [2, 0]]",
+                     "- {points: [[0, 0], [1, 1], [2, 0]], colour: red}"),
+     "dataset 1: unknown keys ['colour']"),
+    (MINIMAL.replace("- intervals:", "- extra: 1\n    intervals:"),
+     "wiring 1: unknown keys ['extra']"),
+    (MINIMAL.replace("d: 0.3}", "d: 0.3, count: 5}"),
+     "wiring 1 interval 1: unknown keys ['count']"),
+    (MINIMAL.replace("intervals:", "blocks:").replace("d: 0.3}", "d: 0.3, count: 1, n: 2}"),
+     "wiring 1 block 1: unknown keys ['n']"),
+], ids=["top", "section", "outputs", "dataset", "wiring", "interval", "block"])
+def test_unknown_keys_of_any_type_at_any_depth_are_one_error(tmp_path, capsys, text, message):
+    assert main(["validate", str(write_config(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("setting", [
+    "outputs: {csv: }", "outputs: {csv: ''}", "outputs: {pgm: [a, b]}", "outdir: ", "outdir: 5",
+])
+def test_output_names_must_be_nonempty_strings(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path, MINIMAL + setting + "\n")
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert "must be a nonempty string" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_block_needs_a_count(tmp_path):
+    text = MINIMAL.replace("intervals:", "blocks:")
+    with pytest.raises(ConfigError, match="wiring 1 block 1 count: expected an integer, got None"):
+        load_config(write_config(tmp_path, text))
 
 
 def test_vertex_count_mismatch_rejected(tmp_path):
@@ -399,7 +439,7 @@ BELOW_MINIMUM = {
 
 
 def test_every_setting_flag_has_a_below_minimum_case():
-    assert set(BELOW_MINIMUM) == {key for _, key, _ in SETTINGS}
+    assert set(BELOW_MINIMUM) == {key for _, key, *_ in SETTINGS}
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -423,8 +463,11 @@ def test_flag_below_minimum_is_a_config_error(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("setting", [
     "solver: {tol: .nan}",
     "attractor: {dedup_tol: .nan}",
-    "attractor: {chaos_points: 100, burn_in: 100}",
-    "attractor: {chaos_points: 5}",
+    # Only a chaos_csv output makes these errors; the ids name the setting.
+    pytest.param("attractor: {chaos_points: 100, burn_in: 100}\noutputs: {chaos_csv: c.csv}",
+                 id="attractor: {chaos_points: 100, burn_in: 100}"),
+    pytest.param("attractor: {chaos_points: 5}\noutputs: {chaos_csv: c.csv}",
+                 id="attractor: {chaos_points: 5}"),
 ])
 def test_config_value_out_of_range_is_rejected(tmp_path, setting):
     with pytest.raises(ConfigError):
@@ -438,6 +481,16 @@ def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
     assert load_config(write_config(tmp_path, text)).chaos_points == 0
 
 
+@pytest.mark.parametrize("setting, points", [
+    ("{chaos_points: 100, burn_in: 100}", 100),
+    ("{chaos_points: 5}", 5),
+])
+def test_chaos_points_need_not_exceed_burn_in_without_a_chaos_csv(tmp_path, setting, points):
+    # No walk runs without a chaos_csv output, so its length is not checked.
+    text = MINIMAL + "attractor: " + setting + "\n"
+    assert load_config(write_config(tmp_path, text)).chaos_points == points
+
+
 def test_chaos_csv_without_chaos_points_is_a_config_error(tmp_path, capsys):
     text = MINIMAL + "attractor: {chaos_points: 0}\noutputs: {chaos_csv: chaos.csv}\n"
     runs = [[str(write_config(tmp_path, text))], ["example1", "--chaos-points", "0"]]
@@ -445,7 +498,8 @@ def test_chaos_csv_without_chaos_points_is_a_config_error(tmp_path, capsys):
         outdir = tmp_path / "out"
         assert main(["run", *args, "--outdir", str(outdir)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: outputs.chaos_csv needs attractor.chaos_points above 0\n"
+        assert captured.err == ("error: outputs.chaos_csv needs attractor.chaos_points (0) "
+                                "above attractor.burn_in (100)\n")
         assert captured.out == ""
         assert not outdir.exists()
 
@@ -499,7 +553,15 @@ def test_violating_config_prints_the_validate_report(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == report
     assert captured.err == ""
-    assert list(outdir.iterdir()) == []
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [["validate"], ["eval", "--x", "1.5"]])
+def test_commands_that_write_nothing_create_no_directory(tmp_path, capsys, command):
+    outdir = tmp_path / "out"
+    assert main([command[0], "flat", "--outdir", str(outdir), *command[1:]]) == 0
+    capsys.readouterr()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -563,4 +625,14 @@ def test_checks_hold_under_python_O(tmp_path):
                             cwd=tmp_path)
     assert violating.returncode == 1, violating.stderr
     assert json.loads(violating.stdout)["ok"] is False
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Annotated example:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "other_vertex.csv").write_text("x,y\n0,1\n1,3\n2,2\n3,4\n4,1\n")
+    cfg = load_config(write_config(tmp_path, block, "demo.yaml"))
+    assert cfg.name == "demo"
+    assert cfg.plan.n == len(cfg.datasets) == 2
+    assert [key for key, _ in cfg.outputs] == list(OUTPUT_KEYS)
