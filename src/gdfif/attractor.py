@@ -193,20 +193,17 @@ def chaos_game(
     if total_points <= burn_in:
         raise ValueError("total_points must exceed burn_in")
     n = system.n
-    counts = [len(system.maps_for(alpha)) for alpha in range(1, n + 1)]
+    counts = [len(v.maps) for v in system.table]
     vertex, index = _draws(seed, n, counts, total_points)
-    table = [
-        (m.a, m.e, m.c, m.d, m.f, m.source_vertex - 1, target)
-        for target, maps in enumerate(system.maps) for m in maps
-    ]
+    rows = [(*m, target) for target, v in enumerate(system.table) for m in v.maps]
     current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
     points = np.empty((total_points, 2))
     for lo in range(0, total_points, _WALK_BLOCK):
         walk = []
         append = walk.append
         # transform_points's products and sums; addition commutes, so the same rounding.
-        for a, e, c, d, f, source, target in map(
-                table.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
+        for a, c, d, e, f, source, _, _, target in map(
+                rows.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
             x, y = current[source]
             current[target] = point = (a * x + e, c * x + d * y + f)
             append(point)

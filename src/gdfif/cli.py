@@ -302,7 +302,7 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
         )
 
     return ProjectConfig(
-        name=str(raw.get("name", path.stem)),
+        name=_text(raw["name"], "name") if "name" in raw else path.stem,
         datasets=datasets,
         plan=plan,
         condition3_mode=mode,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -165,19 +164,18 @@ class _Transfer:
 
     def __init__(self, system: GifsSystem, resolution: int):
         datasets = system.datasets
-        maps = [m for row in system.maps for m in row]
-        sources = np.array([m.source_vertex for m in maps])
+        maps = np.array([m for v in system.table for m in v.maps])
+        sources = maps[:, 5].astype(int)
         order = np.argsort(sources, kind="stable")
         row_of = np.empty_like(order)
         row_of[order] = np.arange(order.size)
-        a, self._c, self._d, e, self._f = np.split(
-            np.array([(m.a, m.c, m.d, m.e, m.f) for m in maps])[order], 5, axis=1)
+        a, self._c, self._d, e, self._f = np.split(maps[order, :5], 5, axis=1)
         x = np.concatenate([_blocks(ds, resolution) for ds in datasets])[order]
         self._t = (x - e) / a
         self._blk = np.empty_like(self._t)
         ends = np.cumsum([0] + [ds.n_intervals for ds in datasets])
         self._rows = [row_of[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
-        firsts = np.searchsorted(sources[order], np.arange(1, len(datasets) + 2))
+        firsts = np.searchsorted(sources[order], np.arange(len(datasets) + 1))
         self._by_source = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
         self.datasets = datasets
         self._step = resolution - 1
@@ -334,39 +332,38 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     an abscissa that is exactly a knot, at the top or anywhere down the
     chain with depth left, takes the knot's ordinate: knots evaluate to
     their data ordinates at every depth, free of the round-off that further
-    pullbacks would amplify.
+    pullbacks would amplify. The walk reads the system's cached map table
+    (`GifsSystem.table`).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not 1 <= alpha <= system.n:
         raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
-    ds = system.dataset(alpha)
+    table = system.table
+    xs, fs, maps = table[alpha - 1]
     x = float(x)
-    if not ds.xs[0] <= x <= ds.xs[-1]:
+    if not xs[0] <= x <= xs[-1]:
         raise ValueError(
-            f"x = {x:g} is outside [{ds.xs[0]:g}, {ds.xs[-1]:g}] for vertex {alpha}"
+            f"x = {x:g} is outside [{xs[0]:g}, {xs[-1]:g}] for vertex {alpha}"
         )
     chain = []
     for _ in range(depth):
-        points = system.dataset(alpha).points
-        i = bisect_left(points, x, key=itemgetter(0))
-        if points[i][0] == x:
-            value = points[i][1]
+        i = bisect_left(xs, x)
+        if xs[i] == x:
+            value = fs[i]
             break
-        m = system.maps_for(alpha)[i - 1]
-        source = system.dataset(m.source_vertex)
-        t = (x - m.e) / m.a
+        a, c, d, e, f, source, lo, hi = maps[i - 1]
+        t = (x - e) / a
         # round-off can push the pullback a few ulp past the source domain
-        t = min(max(t, source.first[0]), source.last[0])
-        chain.append((m, t))
-        alpha, x = m.source_vertex, t
+        if t < lo:
+            t = lo
+        elif t > hi:
+            t = hi
+        chain.append((c, d, f, t))
+        xs, fs, maps = table[source]
+        x = t
     else:
-        value = _chord_value(system.dataset(alpha), x)
-    for m, t in reversed(chain):
-        value = m.c * t + m.d * value + m.f
+        value = fs[0] + (x - xs[0]) * (fs[-1] - fs[0]) / (xs[-1] - xs[0])
+    for c, d, f, t in reversed(chain):
+        value = c * t + d * value + f
     return value
-
-
-def _chord_value(ds: DataSet, x: float) -> float:
-    (x0, F0), (xN, FN) = ds.first, ds.last
-    return F0 + (x - x0) * (FN - F0) / (xN - x0)

@@ -23,6 +23,8 @@ interpolation construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,19 @@ def transform_points(m: AffineMap, points: np.ndarray, out: np.ndarray | None = 
     return out
 
 
+class VertexTable(NamedTuple):
+    """One vertex's knots and maps as plain Python values.
+
+    `xs` and `fs` are the knot abscissas and ordinates as lists of floats;
+    `maps[i - 1]` is interval i's map as the tuple
+    (a, c, d, e, f, source index from 0, source domain lo, hi).
+    """
+
+    xs: list[float]
+    fs: list[float]
+    maps: list[tuple[float, float, float, float, float, int, float, float]]
+
+
 @dataclass(frozen=True)
 class GifsSystem:
     """Validated data sets, their wiring, and the full family of affine maps.
@@ -98,6 +113,20 @@ class GifsSystem:
 
     def maps_for(self, alpha: int) -> tuple[AffineMap, ...]:
         return self.maps[alpha - 1]
+
+    @cached_property
+    def table(self) -> tuple[VertexTable, ...]:
+        """`table[k]` is vertex k+1's knots and maps, built on first use."""
+        domains = [(ds.first[0], ds.last[0]) for ds in self.datasets]
+        return tuple(
+            VertexTable(
+                [x for x, _ in ds.points],
+                [F for _, F in ds.points],
+                [(m.a, m.c, m.d, m.e, m.f, m.source_vertex - 1, *domains[m.source_vertex - 1])
+                 for m in maps],
+            )
+            for ds, maps in zip(self.datasets, self.maps)
+        )
 
 
 def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSystem:

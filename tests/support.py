@@ -16,6 +16,7 @@ from gdfif import (
     IntervalAssignment,
     SampledFunction,
     WiringPlan,
+    build_system,
     standard_grid,
 )
 
@@ -118,6 +119,20 @@ def random_two_vertex(rng, d_range=(-0.9, 0.9)):
             for _ in range(ds.n_intervals)
         ))
     return dsets, WiringPlan(tuple(rows))
+
+
+def random_narrow_system(rng):
+    """Random valid system of 3 vertices x 30 intervals, each |d| = 0.5.
+
+    Every pullback stretches round-off about 30-fold.
+    """
+    datasets = [random_dataset(rng, n_points=31, span=float(rng.uniform(0.8, 1.25)))
+                for _ in range(3)]
+    plan = WiringPlan.from_pairs([
+        [(int(rng.integers(1, 4)), float(rng.choice((-0.5, 0.5)))) for _ in range(30)]
+        for _ in range(3)
+    ])
+    return build_system(datasets, plan)
 
 
 def random_admissible_family(system, resolution, rng, amplitude=4.0):

@@ -9,10 +9,14 @@ widths, duplicates, signed zeros, ties in x and crowded x-strips.
 
 The chaos game draws its random numbers in bulk by NumPy's own rule for
 `Generator.integers`; the loop it replaced calls `integers` twice per step,
-so equal clouds mean the seeded stream is the same.
+so equal clouds mean the seeded stream is the same. `evaluate_exact` walks
+the system's cached map table where its reference walks the `AffineMap`
+objects, with the same arithmetic, so values must be equal bit for bit.
 """
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from gdfif import (
     WiringPlan,
     build_system,
     chaos_game,
+    evaluate_exact,
     export_csv,
     fixed_point,
     hutchinson_step,
@@ -38,7 +43,7 @@ from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
-from support import random_dataset
+from support import random_dataset, random_narrow_system
 
 BUNDLED = ("example1", "example2", "example2b", "flat")
 
@@ -591,3 +596,116 @@ def test_apply_map_matches_the_scalar_formula(rng):
             got = apply_map(m, point)
             assert type(got) is tuple and all(type(v) is float for v in got)
             assert np.array(got).tobytes() == np.array(apply_map_reference(m, point)).tobytes()
+
+
+def evaluate_exact_reference(system, alpha, x, depth):
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if not 1 <= alpha <= system.n:
+        raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
+    ds = system.dataset(alpha)
+    x = float(x)
+    if not ds.xs[0] <= x <= ds.xs[-1]:
+        raise ValueError(
+            f"x = {x:g} is outside [{ds.xs[0]:g}, {ds.xs[-1]:g}] for vertex {alpha}"
+        )
+    chain = []
+    for _ in range(depth):
+        points = system.dataset(alpha).points
+        i = bisect_left(points, x, key=itemgetter(0))
+        if points[i][0] == x:
+            value = points[i][1]
+            break
+        m = system.maps_for(alpha)[i - 1]
+        source = system.dataset(m.source_vertex)
+        t = (x - m.e) / m.a
+        # round-off can push the pullback a few ulp past the source domain
+        t = min(max(t, source.first[0]), source.last[0])
+        chain.append((m, t))
+        alpha, x = m.source_vertex, t
+    else:
+        value = _chord_value_reference(system.dataset(alpha), x)
+    for m, t in reversed(chain):
+        value = m.c * t + m.d * value + m.f
+    return value
+
+
+def _chord_value_reference(ds, x):
+    (x0, F0), (xN, FN) = ds.first, ds.last
+    return F0 + (x - x0) * (FN - F0) / (xN - x0)
+
+
+def _exact_system(name):
+    if name == "wide":
+        return _wide_system(np.random.default_rng(808))
+    if name == "single-map":
+        return _single_map_system()
+    if name == "narrow":
+        return random_narrow_system(np.random.default_rng(31))
+    return bundled_system(name)[1]
+
+
+def assert_same_exact(system, rng, depths=(1, 30, 60)):
+    """evaluate_exact equals its reference bit for bit at every knot, each
+    knot's neighbouring doubles inside the domain, and random abscissas.
+    A vertex cut to k maps is queried on its first k intervals."""
+    for alpha in range(1, system.n + 1):
+        xs = system.dataset(alpha).xs[:len(system.maps_for(alpha)) + 1]
+        lo, hi = float(xs[0]), float(xs[-1])
+        queries = [*xs.tolist(), *np.nextafter(xs, -np.inf)[1:].tolist(),
+                   *np.nextafter(xs, np.inf)[:-1].tolist(), *rng.uniform(lo, hi, 40).tolist()]
+        queries += [xs[0], 0]  # NumPy and int inputs; every domain here starts at 0
+        for depth in depths:
+            got = [evaluate_exact(system, alpha, x, depth) for x in queries]
+            want = [evaluate_exact_reference(system, alpha, x, depth) for x in queries]
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "single-map", "narrow"))
+def test_evaluate_exact_matches_pullback_reference(name):
+    assert_same_exact(_exact_system(name), np.random.default_rng(4242))
+
+
+@pytest.mark.parametrize("seed, alpha, x", [
+    (2, 2, 0.8171729244784234), (11, 1, 0.08980988886058743), (11, 1, 0.6590612039882996),
+])
+def test_evaluate_exact_clamps_pullbacks_as_the_reference_does(seed, alpha, x):
+    # Found by search: a pullback down each chain rounds past its source
+    # domain and is clamped back onto it.
+    system = random_narrow_system(np.random.default_rng(seed))
+    for depth in (30, 60):
+        got = evaluate_exact(system, alpha, x, depth)
+        assert np.float64(got).tobytes() == np.float64(
+            evaluate_exact_reference(system, alpha, x, depth)).tobytes()
+
+
+@pytest.mark.parametrize("args", [
+    (1, 5.0, 0), (0, 5.0, 10), (3, 5.0, 10), (1, -0.1, 10), (1, 10.1, 10),
+    (1, float("nan"), 10), (1, float("inf"), 10),
+])
+def test_evaluate_exact_errors_match_pullback_reference(ex1_system, args):
+    with pytest.raises(ValueError) as want:
+        evaluate_exact_reference(ex1_system, *args)
+    with pytest.raises(ValueError) as got:
+        evaluate_exact(ex1_system, *args)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_directly_built_system_builds_its_map_table_once_on_first_use(rng):
+    system = _single_map_system()
+    assert "table" not in vars(system)
+    table = system.table
+    assert system.table is table
+    for alpha, (xs, fs, maps) in enumerate(table, start=1):
+        ds = system.dataset(alpha)
+        assert (xs, fs) == (ds.xs.tolist(), ds.fs.tolist())
+        assert maps == [
+            (m.a, m.c, m.d, m.e, m.f, m.source_vertex - 1,
+             system.dataset(m.source_vertex).first[0], system.dataset(m.source_vertex).last[0])
+            for m in system.maps_for(alpha)
+        ]
+    assert [len(v.maps) for v in table] == [5, 4, 1]
+    assert_same_exact(system, rng)
+    assert_same_chaos(system, 3001, 25, 7)
+    assert system.table is table

@@ -176,6 +176,23 @@ def test_output_names_must_be_nonempty_strings(tmp_path, capsys, setting):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting", ["name: ", "name: 5"], ids=["empty", "number"])
+def test_name_must_be_a_nonempty_string(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path, MINIMAL + setting + "\n")
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: name must be a nonempty string, got ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_name_falls_back_to_the_file_stem(tmp_path, capsys):
+    cfg = write_config(tmp_path, MINIMAL, name="unnamed.yaml")
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "unnamed"
+
+
 def test_block_needs_a_count(tmp_path):
     text = MINIMAL.replace("intervals:", "blocks:")
     with pytest.raises(ConfigError, match="wiring 1 block 1 count: expected an integer, got None"):

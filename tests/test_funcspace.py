@@ -26,6 +26,7 @@ from support import (
     pl_sup,
     random_admissible_family,
     random_dataset,
+    random_narrow_system,
     random_two_vertex,
 )
 
@@ -216,14 +217,8 @@ def test_evaluate_exact_at_knots(ex2_system):
 def test_evaluate_exact_is_exact_at_knots_of_narrow_intervals(rng):
     # With 30 intervals per data set each pullback stretches round-off about
     # 30-fold, so recursing through a knot used to miss its ordinate.
-    datasets = [random_dataset(rng, n_points=31, span=float(rng.uniform(0.8, 1.25)))
-                for _ in range(3)]
-    plan = WiringPlan.from_pairs([
-        [(int(rng.integers(1, 4)), float(rng.choice((-0.5, 0.5)))) for _ in range(30)]
-        for _ in range(3)
-    ])
-    system = build_system(datasets, plan)
-    for alpha, ds in enumerate(datasets, start=1):
+    system = random_narrow_system(rng)
+    for alpha, ds in enumerate(system.datasets, start=1):
         for x, F in ds.points:
             assert evaluate_exact(system, alpha, x, 30) == F
 
