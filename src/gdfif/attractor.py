@@ -96,26 +96,39 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     never moves a point; it only thins clusters closer than about tol.
     Each point's cell number goes above its row index in one int64 key, so
     a single sort groups the cells with the first-seen row leading each;
-    cells too many to pack (a tiny tol) are grouped by a two-column lexsort.
+    cells too many to pack, or numbered past int64 (a tiny tol), are grouped
+    by a two-column lexsort of the float cell numbers. Raises ValueError
+    when a cell number is not finite.
     """
     n = len(points)
-    kx = np.round(points[:, 0] / tol).astype(np.int64)
-    ky = np.round(points[:, 1] / tol).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        fx = points[:, 0] / tol
+        fy = points[:, 1] / tol
+    np.round(fx, out=fx)
+    np.round(fy, out=fy)
+    x0, x1, y0, y1 = fx.min(), fx.max(), fy.min(), fy.max()
+    if not np.isfinite((x0, x1, y0, y1)).all():
+        raise ValueError(f"dedup tolerance {tol!r} is too small: a point's cell number "
+                         f"(coordinate / tolerance) is not finite; use a larger dedup_tol")
     bits = (n - 1).bit_length()
-    x0, y0 = kx.min(), ky.min()
-    nx = int(kx.max()) - int(x0) + 1
-    ny = int(ky.max()) - int(y0) + 1
-    if (nx * ny) << bits > _KEY_LIMIT:
-        order = np.lexsort((ky, kx))
-        kx = kx[order]
-        ky = ky[order]
+    nx = int(x1) - int(x0) + 1
+    ny = int(y1) - int(y0) + 1
+    in_int64 = -_KEY_LIMIT <= min(x0, y0) and max(x1, y1) < _KEY_LIMIT
+    if (nx * ny) << bits > _KEY_LIMIT or not in_int64:
+        order = np.lexsort((fy, fx))
+        fx = fx[order]
+        fy = fy[order]
         first = np.ones(n, dtype=bool)
-        first[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+        first[1:] = (fx[1:] != fx[:-1]) | (fy[1:] != fy[:-1])
         return points[np.sort(order[first])]
-    key = kx
-    key -= x0
+    # Each float column goes once cast, so at most three n-long arrays are held.
+    key = fx.astype(np.int64)
+    del fx
+    key -= int(x0)
     key *= ny
-    ky -= y0
+    ky = fy.astype(np.int64)
+    del fy
+    ky -= int(y0)
     key += ky
     key <<= bits
     key |= np.arange(n)
@@ -146,11 +159,7 @@ def iterate_attractor(
         raise ValueError("generations must be at least 1")
     clouds = data_clouds(system)
     for _ in range(generations):
-        predicted = sum(
-            len(clouds[m.source_vertex - 1])
-            for alpha in range(1, system.n + 1)
-            for m in system.maps_for(alpha)
-        )
+        predicted = sum(len(clouds[m.source_vertex - 1]) for row in system.maps for m in row)
         if predicted > max_points:
             raise CloudBudgetError(
                 f"next generation would hold {predicted} points, cap is {max_points}; "
@@ -185,8 +194,8 @@ def chaos_game(
     source vertex, and makes the image the target's new current point. A
     vertex's first `burn_in` emissions are discarded. Fully deterministic
     for a given seed: the picks are those of `integers(1, n + 1)` and then
-    `integers(0, maps)` on `np.random.default_rng(seed)`, drawn in bulk
-    (see `_draws`).
+    `integers(0, maps)` on `np.random.default_rng(seed)`, drawn in bulk from
+    the generator's raw words (see `_draws`).
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
@@ -224,24 +233,22 @@ def _draws(seed: int, n: int, counts: list[int], steps: int):
     `integers(1, n + 1)` and then `integers(0, counts[vertex])` per step
     on `np.random.default_rng(seed)`.
 
-    When every vertex has two or more maps, each step reads the same number
-    of words, so all of them are read at once and mapped by `_lemire`. If a
-    word would be rejected, or some vertex has a single map (whose draw
-    reads no word), the steps are drawn again one `integers` call at a time
-    from a fresh generator.
+    Every vertex has two or more maps, so each step reads the same number
+    of words: all of them are read at once and mapped by `_lemire`. If a
+    word would be rejected, the steps are drawn again one `integers` call
+    at a time from a fresh generator.
     """
     offsets = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
-    if min(counts) > 1:
-        per_step = 1 + (n > 1)
-        raw = np.random.default_rng(seed).bit_generator.random_raw(-(-steps * per_step // 2))
-        step_words = _split(raw)[:steps * per_step].reshape(steps, per_step)
-        vertex, fits = np.zeros(steps, dtype=np.int64), True
-        if n > 1:
-            vertex, fits = _lemire(step_words[:, 0], n)
-        spans = np.array(counts, dtype=np.uint64)[vertex]
-        index, fits_maps = _lemire(step_words[:, -1], spans)
-        if fits and fits_maps:
-            return vertex, offsets[vertex] + index
+    per_step = 1 + (n > 1)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-steps * per_step // 2))
+    step_words = _split(raw)[:steps * per_step].reshape(steps, per_step)
+    vertex, fits = np.zeros(steps, dtype=np.int64), True
+    if n > 1:
+        vertex, fits = _lemire(step_words[:, 0], n)
+    spans = np.array(counts, dtype=np.uint64)[vertex]
+    index, fits_maps = _lemire(step_words[:, -1], spans)
+    if fits and fits_maps:
+        return vertex, offsets[vertex] + index
     rng = np.random.default_rng(seed)
     vertex = np.empty(steps, dtype=np.int64)
     index = np.empty(steps, dtype=np.int64)

@@ -232,29 +232,27 @@ def _parse_wiring(raw) -> WiringPlan:
     return WiringPlan.from_pairs(per_vertex)
 
 
-def load_config(path) -> ProjectConfig:
+def load_config(path, flags=None) -> ProjectConfig:
     """Parse and structurally check a YAML config; see the README for the schema.
 
-    Raises ConfigError with line and column for parse errors, and for missing
-    files, unknown keys, bad types, or a dataset/wiring count mismatch.
-    Mathematical violations are left to `validate`.
+    A setting in `flags` replaces the config's value. Raises ConfigError with
+    line and column for parse errors, and for missing files, unknown keys,
+    bad types, or a dataset/wiring count mismatch. Mathematical violations
+    are left to `validate`.
     """
     path = Path(path)
-    return _parse_config(_read_config(path), path, {})
-
-
-def _read_config(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        return _safe_load(text)
+        raw = _safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ConfigError(f"parse error in {path}{where}: {problem}") from None
+    return _parse_config(raw, path, flags or {})
 
 
 def _safe_load(text: str):
@@ -390,7 +388,10 @@ def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
     """Solve, iterate the attractor and write the artifacts; `run` adds the summary."""
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
     result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
-    clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
+    try:
+        clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     chaos = None
     if "chaos_csv" in dict(cfg.outputs):  # the one output that reads the chaos clouds
         chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
@@ -445,10 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        path = resolve_config_arg(args.config)
         keys = [row[1] for row in SETTINGS] + ["condition3_mode"]
         flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
-        cfg = _parse_config(_read_config(path), path, flags)
+        cfg = load_config(resolve_config_arg(args.config), flags)
         outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
         return args.handler(cfg, outdir, args)
     except (ConfigError, CloudBudgetError) as exc:

@@ -92,17 +92,44 @@ class VertexTable(NamedTuple):
 
 @dataclass(frozen=True)
 class GifsSystem:
-    """Validated data sets, their wiring, and the full family of affine maps.
+    """Data sets and the full family of affine maps, checked where it is made.
 
-    `maps[k]` holds vertex k+1's maps in interval order; `r` is the largest
-    |d| over the whole plan and is the contraction factor of the transfer
-    operator on candidate interpolants.
+    `maps[k]` holds vertex k+1's maps in interval order. `build_system` runs
+    `validate` first, for the hypotheses that `__post_init__` leaves out.
     """
 
     datasets: tuple[DataSet, ...]
-    plan: WiringPlan
     maps: tuple[tuple[AffineMap, ...], ...]
-    r: float
+
+    def __post_init__(self):
+        n = len(self.datasets)
+        if not n:
+            raise ValueError("a system needs at least one data set")
+        if len(self.maps) != n:
+            k = min(len(self.maps), n) + 1
+            raise ValueError(f"{len(self.maps)} map tuples for {n} data sets: vertex {k} has "
+                             + ("no maps" if k <= n else "no data set"))
+        for alpha, (ds, row) in enumerate(zip(self.datasets, self.maps), start=1):
+            if len(ds.points) < 3:
+                raise ValueError(
+                    f"the data set of vertex {alpha} has {len(ds.points)} points, need at least 3")
+            if len(row) != ds.n_intervals:
+                raise ValueError(
+                    f"vertex {alpha} has {len(row)} maps for {ds.n_intervals} intervals")
+            for i, m in enumerate(row, start=1):
+                if (m.target_vertex, m.target_interval) != (alpha, i):
+                    raise ValueError(
+                        f"map {i} of vertex {alpha} is labelled for interval "
+                        f"{m.target_interval} of vertex {m.target_vertex}")
+                if not 1 <= m.source_vertex <= n:
+                    raise ValueError(
+                        f"interval {i} of vertex {alpha} names source vertex "
+                        f"{m.source_vertex}, valid range is 1..{n}")
+
+    @property
+    def r(self) -> float:
+        """The largest |d| over the maps, the transfer operator's contraction factor."""
+        return max(abs(m.d) for row in self.maps for m in row)
 
     @property
     def n(self) -> int:
@@ -169,9 +196,7 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
                 source_vertex=asg.source, target_vertex=alpha, target_interval=i,
             ))
         all_maps.append(tuple(vertex_maps))
-
-    r = max(abs(asg.d) for row in plan.assignments for asg in row)
-    return GifsSystem(datasets=datasets, plan=plan, maps=tuple(all_maps), r=r)
+    return GifsSystem(datasets, tuple(all_maps))
 
 
 def endpoint_residuals(system: GifsSystem) -> float:

@@ -26,8 +26,8 @@ class DataSet:
     """Ordered interpolation points (x_j, F_j) for one vertex.
 
     Downstream construction needs at least 3 points with strictly increasing
-    abscissas. Those rules are checked by `validate`, not by the constructor,
-    so that suspect input can still be loaded and diagnosed.
+    abscissas: `validate` checks both, and a `GifsSystem` the count where it
+    is made, so that suspect input can still be loaded and diagnosed.
     """
 
     points: tuple[tuple[float, float], ...]

@@ -36,12 +36,13 @@ def ex1_system():
 
 
 @pytest.fixture(scope="session")
-def ex2_system():
-    scales = ((1 / 3,) * 5, (1 / 3,) * 4)
-    return build_system(
-        [DataSet(EX2_POINTS_1), DataSet(EX2_POINTS_2)],
-        make_plan(EX2_SOURCES, scales),
-    )
+def ex2_plan():
+    return make_plan(EX2_SOURCES, ((1 / 3,) * 5, (1 / 3,) * 4))
+
+
+@pytest.fixture(scope="session")
+def ex2_system(ex2_plan):
+    return build_system([DataSet(EX2_POINTS_1), DataSet(EX2_POINTS_2)], ex2_plan)
 
 
 @pytest.fixture(scope="session")

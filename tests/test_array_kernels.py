@@ -14,9 +14,14 @@ the system's cached map table where its reference walks the `AffineMap`
 objects, with the same arithmetic, so values must be equal bit for bit.
 """
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_left
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from gdfif import (
     render_pgm,
     render_svg,
 )
+import gdfif
 from gdfif import attractor
 from gdfif.attractor import _dedup, _lemire, data_clouds, directed_hausdorff
 from gdfif.maps import apply_map, endpoint_residuals
@@ -56,6 +62,12 @@ def bundled_system(name):
 def dedup_reference(points, tol):
     keys = np.round(points / tol).astype(np.int64)
     _, index = np.unique(keys, axis=0, return_index=True)
+    return points[np.sort(index)]
+
+
+def dedup_float_reference(points, tol):
+    """Groups by the float cell numbers, so no cast can merge two cells."""
+    _, index = np.unique(np.round(points / tol), axis=0, return_index=True)
     return points[np.sort(index)]
 
 
@@ -285,6 +297,25 @@ def test_dedup_matches_unique_reference(rng, monkeypatch):
     assert np.array_equal(_dedup(at_limit, 1.0), at_limit[:2])
 
 
+def test_dedup_keeps_cells_numbered_past_int64(rng, monkeypatch):
+    # Cell numbers of about 1e19 to 1e301 overflow an int64 cast, which
+    # merged distinct cells. Near +-1e4 a tol of 1e-15 numbers the cells past
+    # int64 too, though few enough to pack: points 4 doubles apart are about
+    # 7300 cells apart, where the cell numbers' own doubles are 2048 apart.
+    uniform = rng.uniform(0.0, 10.0, size=(1000, 2))
+    uniform = np.vstack([uniform, uniform[:50]])
+    k = np.arange(12)[:, None]
+    near = 1e4 + 4 * np.spacing(1e4) * np.hstack([k // 2, k % 3])
+    for points, tol in ((uniform, 1e-18), (uniform, 1e-300), (near, 1e-15), (-near, 1e-15)):
+        got, took_lexsort = _dedup_spied(points, tol, monkeypatch)
+        assert took_lexsort
+        assert np.array_equal(got, dedup_float_reference(points, tol))
+    assert len(_dedup(uniform, 1e-300)) == 1000
+    assert len(_dedup(near, 1e-15)) == 12
+    with pytest.raises(ValueError, match=r"^dedup tolerance 1e-320 is too small"):
+        _dedup(uniform, 1e-320)
+
+
 def _three_vertex_system():
     # No map reads from vertex 3, which is built from vertices 1 and 2 only.
     datasets = [DataSet(EX2_POINTS_1), DataSet(EX2_POINTS_2),
@@ -442,12 +473,59 @@ def _wide_system(rng):
     return build_system(datasets, plan)
 
 
-def _single_map_system():
-    # build_system gives every vertex two or more maps; chaos_game accepts
-    # any GifsSystem, so vertex 3 is cut to one map, whose draw reads no word.
-    system = _three_vertex_system()
-    maps = (*system.maps[:2], system.maps[2][:1])
-    return GifsSystem(system.datasets, system.plan, maps, system.r)
+def _relabel(maps, alpha, i, **fields):
+    """`maps` with interval i's map of vertex alpha given other field values."""
+    rows = [list(row) for row in maps]
+    rows[alpha - 1][i - 1] = dataclasses.replace(rows[alpha - 1][i - 1], **fields)
+    return tuple(map(tuple, rows))
+
+
+def _malformed(case):
+    s = _three_vertex_system()
+    two_points = DataSet(((0.0, 0.0), (2.0, -0.5)))
+    return {
+        "no-data-sets": lambda: GifsSystem((), ()),
+        "too-few-map-tuples": lambda: GifsSystem(s.datasets, s.maps[:2]),
+        "one-map-for-two-intervals": lambda: GifsSystem(
+            s.datasets, (*s.maps[:2], s.maps[2][:1])),
+        "two-point-data-set": lambda: GifsSystem(
+            (*s.datasets[:2], two_points), (*s.maps[:2], s.maps[2][:1])),
+        "mislabelled-interval": lambda: GifsSystem(
+            s.datasets, _relabel(s.maps, 2, 3, target_interval=2)),
+        "source-0": lambda: GifsSystem(s.datasets, _relabel(s.maps, 1, 2, source_vertex=0)),
+        "source-n-plus-1": lambda: GifsSystem(
+            s.datasets, _relabel(s.maps, 3, 1, source_vertex=4)),
+    }[case]
+
+
+@pytest.mark.parametrize("case, names", [
+    ("no-data-sets", "at least one data set"), ("too-few-map-tuples", r"\bvertex 3\b"),
+    ("one-map-for-two-intervals", r"\bvertex 3\b"), ("two-point-data-set", r"\bvertex 3\b"),
+    ("mislabelled-interval", r"\bvertex 2\b"), ("source-0", r"\bvertex 1\b"),
+    ("source-n-plus-1", r"\bvertex 3\b"),
+])
+def test_a_malformed_system_is_refused_where_it_is_made(case, names):
+    # Each message names the offending vertex, when the system has one.
+    build = _malformed(case)
+    with pytest.raises(ValueError, match=names):
+        build()
+
+
+def test_a_malformed_system_is_refused_under_python_O():
+    # The checks raise, so `python -O`, which strips asserts, keeps them.
+    code = (
+        "from gdfif import DataSet, GifsSystem, WiringPlan, build_system\n"
+        "s = build_system([DataSet(((0, 0), (1, 1), (2, 0)))],\n"
+        "                 WiringPlan.from_pairs([[(1, 0.5), (1, 0.5)]]))\n"
+        "try:\n"
+        "    GifsSystem(s.datasets, (s.maps[0][:1],))\n"
+        "except ValueError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    src = str(Path(gdfif.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert done.stdout == "False vertex 1 has 1 maps for 2 intervals\n"
 
 
 def _chaos_system(name):
@@ -455,8 +533,6 @@ def _chaos_system(name):
         return _wide_system(np.random.default_rng(808))
     if name == "three-vertex":
         return _three_vertex_system()
-    if name == "single-map":
-        return _single_map_system()
     return bundled_system(name)[1]
 
 
@@ -470,7 +546,7 @@ def assert_same_chaos(system, total_points, burn_in, seed):
         assert not g.points.flags.writeable
 
 
-@pytest.mark.parametrize("name", BUNDLED + ("wide", "three-vertex", "single-map"))
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "three-vertex"))
 def test_chaos_game_matches_loop_reference(name):
     system = _chaos_system(name)
     for seed in (0, 7, 2024):
@@ -638,8 +714,6 @@ def _chord_value_reference(ds, x):
 def _exact_system(name):
     if name == "wide":
         return _wide_system(np.random.default_rng(808))
-    if name == "single-map":
-        return _single_map_system()
     if name == "narrow":
         return random_narrow_system(np.random.default_rng(31))
     return bundled_system(name)[1]
@@ -647,10 +721,9 @@ def _exact_system(name):
 
 def assert_same_exact(system, rng, depths=(1, 30, 60)):
     """evaluate_exact equals its reference bit for bit at every knot, each
-    knot's neighbouring doubles inside the domain, and random abscissas.
-    A vertex cut to k maps is queried on its first k intervals."""
+    knot's neighbouring doubles inside the domain, and random abscissas."""
     for alpha in range(1, system.n + 1):
-        xs = system.dataset(alpha).xs[:len(system.maps_for(alpha)) + 1]
+        xs = system.dataset(alpha).xs
         lo, hi = float(xs[0]), float(xs[-1])
         queries = [*xs.tolist(), *np.nextafter(xs, -np.inf)[1:].tolist(),
                    *np.nextafter(xs, np.inf)[:-1].tolist(), *rng.uniform(lo, hi, 40).tolist()]
@@ -662,7 +735,7 @@ def assert_same_exact(system, rng, depths=(1, 30, 60)):
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("name", BUNDLED + ("wide", "single-map", "narrow"))
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "narrow"))
 def test_evaluate_exact_matches_pullback_reference(name):
     assert_same_exact(_exact_system(name), np.random.default_rng(4242))
 
@@ -693,7 +766,10 @@ def test_evaluate_exact_errors_match_pullback_reference(ex1_system, args):
 
 
 def test_a_directly_built_system_builds_its_map_table_once_on_first_use(rng):
-    system = _single_map_system()
+    built = _three_vertex_system()
+    system = GifsSystem(built.datasets, built.maps)
+    assert [f.name for f in dataclasses.fields(system)] == ["datasets", "maps"]
+    assert system.r == built.r == 0.6
     assert "table" not in vars(system)
     table = system.table
     assert system.table is table
@@ -705,7 +781,7 @@ def test_a_directly_built_system_builds_its_map_table_once_on_first_use(rng):
              system.dataset(m.source_vertex).first[0], system.dataset(m.source_vertex).last[0])
             for m in system.maps_for(alpha)
         ]
-    assert [len(v.maps) for v in table] == [5, 4, 1]
+    assert [len(v.maps) for v in table] == [5, 4, 2]
     assert_same_exact(system, rng)
     assert_same_chaos(system, 3001, 25, 7)
     assert system.table is table

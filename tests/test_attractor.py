@@ -56,11 +56,11 @@ def test_successive_step_deltas_shrink_geometrically(ex1_system):
     assert max(b / a for a, b in zip(deltas[2:], deltas[3:])) <= 0.7
 
 
-def test_iterate_attractor_generation_one_count_bound(ex2_system):
+def test_iterate_attractor_generation_one_count_bound(ex2_system, ex2_plan):
     clouds = iterate_attractor(ex2_system, 1, 1e-12)
     initial = {1: 6, 2: 5}
     for alpha, cloud in zip((1, 2), clouds):
-        sources = [a.source for a in ex2_system.plan.for_vertex(alpha)]
+        sources = [a.source for a in ex2_plan.for_vertex(alpha)]
         assert len(cloud) <= sum(initial[s] for s in sources)
         assert cloud.generation == 1
 

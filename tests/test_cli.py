@@ -632,6 +632,43 @@ outputs: {{summary: summary.json}}
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_a_dedup_tol_past_the_cell_range_is_a_config_error(tmp_path, capsys):
+    # 1e-300 still numbers every cell (past int64, so by float cell numbers)
+    # and keeps every distinct point; 1e-320 overflows them to infinity.
+    assert main(["run", "example1", "--dedup-tol", "1e-300", "--generations", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    kept = json.loads(capsys.readouterr().out)["per_vertex"][0]["cloud_points"]
+    assert main(["run", "example1", "--dedup-tol", "0", "--generations", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    all_points = json.loads(capsys.readouterr().out)["per_vertex"][0]["cloud_points"]
+    assert 2 < kept <= all_points
+    code = main(["run", "example1", "--dedup-tol", "1e-320", "--outdir", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: dedup tolerance 1e-320 is too small")
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_parses_through_load_config_with_its_flags(tmp_path, capsys, monkeypatch):
+    import gdfif.cli
+
+    calls = []
+
+    def counting(path, flags=None):
+        calls.append(flags)
+        return load_config(path, flags)
+
+    monkeypatch.setattr(gdfif.cli, "load_config", counting)
+    assert main(["validate", "example2", "--generations", "3",
+                 "--condition3-mode", "used-edges-only"]) == 0
+    capsys.readouterr()
+    assert calls == [{"generations": 3, "condition3_mode": "used-edges-only"}]
+    cfg = load_config(bundled_config_path("example2"), calls[0])
+    assert (cfg.generations, cfg.condition3_mode) == (3, "used-edges-only")
+    assert load_config(bundled_config_path("example2")).generations != 3
+
+
 def test_checks_hold_under_python_O(tmp_path):
     bad_flag = _run_python("-O", "-m", "gdfif", "run", "example1", "--resolution", "1",
                            "--outdir", str(tmp_path / "out"), cwd=tmp_path)

@@ -62,9 +62,9 @@ def test_contraction_factor_is_max_abs_d(ex1_system, ex2_system, ex2b_system):
     assert ex2b_system.r == 0.5
 
 
-def test_map_layout_follows_plan(ex2_system):
+def test_map_layout_follows_plan(ex2_system, ex2_plan):
     for alpha in (1, 2):
-        row = ex2_system.plan.for_vertex(alpha)
+        row = ex2_plan.for_vertex(alpha)
         for i, m in enumerate(ex2_system.maps_for(alpha), start=1):
             assert m.target_vertex == alpha
             assert m.target_interval == i
