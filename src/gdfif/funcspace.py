@@ -17,9 +17,12 @@ The operator is applied by resampling onto the same fixed output grid every
 time, so grids never grow across iterations, and it contracts the family sup
 metric by the factor r = max |d| < 1. Iterating from the straight-chord
 family therefore converges geometrically to the unique fixed family, which
-interpolates every knot of every data set. Each sweep is batched: the
-pullbacks are computed once per system and resolution, and every source
-function is interpolated in one call over all the pullbacks that read it.
+interpolates every knot of every data set. The pullbacks never change from
+sweep to sweep, so each is computed and located on its source grid once
+per system and resolution: a precomputed stencil. A sweep is then one
+gather of the source values at those stencil entries, with np.interp's own
+rounding, so every value is bit-identical to interpolating interval by
+interval with np.interp.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .maps import GifsSystem
 from .model import DataSet
@@ -126,15 +130,14 @@ def standard_grid(dataset: DataSet, resolution: int) -> np.ndarray:
     return np.append(_blocks(dataset, resolution)[:, :-1], dataset.xs[-1])
 
 
+def _chord(dataset: DataSet, grid: np.ndarray) -> np.ndarray:
+    return np.interp(grid, [dataset.xs[0], dataset.xs[-1]], [dataset.fs[0], dataset.fs[-1]])
+
+
 def initial_family(system: GifsSystem, resolution: int) -> FunctionFamily:
     """Straight chords between each data set's endpoint ordinates."""
-    fns = []
-    for alpha in range(1, system.n + 1):
-        ds = system.dataset(alpha)
-        grid = standard_grid(ds, resolution)
-        values = np.interp(grid, [ds.xs[0], ds.xs[-1]], [ds.fs[0], ds.fs[-1]])
-        fns.append(SampledFunction(alpha, grid, values))
-    return FunctionFamily(tuple(fns))
+    grids = [standard_grid(ds, resolution) for ds in system.datasets]
+    return _as_family(grids, [_chord(ds, g) for ds, g in zip(system.datasets, grids)])
 
 
 def _check_family(system: GifsSystem, family: FunctionFamily):
@@ -152,56 +155,123 @@ def _check_family(system: GifsSystem, family: FunctionFamily):
 
 
 class _Transfer:
-    """The transfer operator of one system at one resolution, as arrays.
+    """The transfer operator of one system at one resolution, as a stencil.
 
-    Every map contributes one block row: the pullbacks t = (x - e) / a of
-    its target interval's `resolution` abscissas, computed once, and its
-    coefficients as columns. Rows are grouped by source vertex, so a sweep
-    makes one np.interp call per source function over all of its
-    pullbacks; `_rows[alpha - 1]` lists vertex alpha's rows in interval
-    order. The block values go to one buffer reused by every sweep.
+    Every map contributes one block row, in target order: the pullbacks
+    t = (x - e) / a of its target interval's `resolution` abscissas and
+    its coefficients as columns. Each pullback is located on its source
+    grid once, as the index j of the node at or below it among all source
+    grids laid end to end, so a sweep gathers the source values with no
+    search and reproduces np.interp bit for bit. A pullback strictly
+    between g[j] and g[j + 1] takes np.interp's formula
+    (v[j+1] - v[j]) / (g[j+1] - g[j]) * (t - g[j]) + v[j]; the few that
+    np.interp answers with a node value v[k] instead (an exact node hit,
+    t below the grid, or t at or past its end) take v[k] itself, signed
+    zero included. np.interp's retry of a NaN result, which only an
+    infinite source value can cause, is not reproduced. The gather runs in
+    chunks of whole rows through reused buffers. The output `grids` are
+    views of one flat array and, unless `sources` names other grids, also
+    the source grids.
     """
 
-    def __init__(self, system: GifsSystem, resolution: int):
-        datasets = system.datasets
-        maps = np.array([m for v in system.table for m in v.maps])
-        sources = maps[:, 5].astype(int)
-        order = np.argsort(sources, kind="stable")
-        row_of = np.empty_like(order)
-        row_of[order] = np.arange(order.size)
-        a, self._c, self._d, e, self._f = np.split(maps[order, :5], 5, axis=1)
-        x = np.concatenate([_blocks(ds, resolution) for ds in datasets])[order]
-        self._t = (x - e) / a
-        self._blk = np.empty_like(self._t)
-        ends = np.cumsum([0] + [ds.n_intervals for ds in datasets])
-        self._rows = [row_of[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
-        firsts = np.searchsorted(sources[order], np.arange(len(datasets) + 1))
-        self._by_source = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
-        self.datasets = datasets
-        self._step = resolution - 1
-        self.grids = [standard_grid(ds, resolution) for ds in datasets]
+    _CHUNK = 16384  # pullbacks per gather: the chunk buffers stay in cache
 
-    def __call__(self, functions) -> list[np.ndarray]:
-        """New values on `grids` from one (grid, values) source per vertex.
+    def __init__(self, system: GifsSystem, resolution: int, sources=None):
+        datasets = system.datasets
+        step = resolution - 1
+        self._nodes = np.concatenate([standard_grid(ds, resolution) for ds in datasets])
+        ends = np.cumsum([0] + [ds.n_intervals * step + 1 for ds in datasets])
+        self._spans = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self.grids = self.split(self._nodes)
+        if sources is None:
+            sources = self.grids
+        else:
+            self._nodes = np.concatenate(sources)
+        maps = np.array([m for v in system.table for m in v.maps])
+        a, self._c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
+        firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
+        self._rows = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
+        t = np.empty((len(maps), resolution))
+        for grid, rows in zip(self.grids, self._rows):
+            # interval i's abscissas are the grid nodes i * step .. (i + 1) * step
+            np.subtract(sliding_window_view(grid, resolution)[::step], e[rows], out=t[rows])
+        t /= a
+        starts = np.cumsum([0] + [g.size for g in sources])
+        j = np.empty(t.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)
+        at, node = [], []
+        read_from = maps[:, 5].astype(int)
+        per = max(1, self._CHUNK // resolution)
+        for beta, grid in enumerate(sources):
+            readers = np.flatnonzero(read_from == beta)
+            # a few rows at a time, so the temporaries stay chunk-sized
+            for k in range(0, readers.size, per):
+                rows = readers[k:k + per]
+                tb = t[rows]
+                jb = np.searchsorted(grid, tb, side="right") - 1
+                np.clip(jb, 0, grid.size - 2, out=jb)
+                # np.interp reads a node value below the grid, on a node and
+                # at or past the grid's end: v[j], and v[j + 1] at or past it
+                past = tb >= grid[-1]
+                r, col = np.nonzero((grid[jb] >= tb) | past)
+                jb += starts[beta]
+                j[rows] = jb
+                at.append(rows[r] * resolution + col)
+                node.append(jb[r, col] + past[r, col])
+        at, node = np.concatenate(at), np.concatenate(node)
+        order = np.argsort(at)
+        at, node = at[order], node[order]
+        chunks = range(0, len(maps), per)
+        cuts = np.searchsorted(at, np.append(chunks, len(maps)) * resolution)
+        self._chunks = [(slice(r0, r0 + per), at[lo:hi] - r0 * resolution, node[lo:hi])
+                        for r0, lo, hi in zip(chunks, cuts[:-1], cuts[1:])]
+        self._t, self._j = t, j
+        self._idx = np.empty(t[:per].size, dtype=np.intp)
+        self._buf = np.empty((4, self._idx.size))
+        self._blk = np.empty_like(t)
+        self.datasets = datasets
+        self._step = step
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-vertex views of a flat array laid out like `grids`."""
+        return [flat[span] for span in self._spans]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """New values on `grids` from the source values laid end to end.
 
         Both one-sided values at every knot must agree with the knot
         ordinate up to round-off (ValueError otherwise); the knot samples
-        are then written exactly.
+        are then written exactly. Returns one flat array laid out like
+        `grids`.
         """
-        blk = self._blk
-        for rows, (grid, values) in zip(self._by_source, functions):
-            # c t + d F(t) + f, rounded in the order of the per-map formula
+        idx, (g0_buf, v0_buf, g1_buf, v1_buf) = self._idx, self._buf
+        nodes, blk, step = self._nodes, self._blk, self._step
+        for rows, at, node in self._chunks:
             t = self._t[rows]
-            s = np.interp(t, grid, values)
+            n = t.size
+            j = idx[:n]
+            j[...] = self._j[rows].ravel()
+            g0 = nodes.take(j, out=g0_buf[:n], mode="clip")
+            v0 = values.take(j, out=v0_buf[:n], mode="clip")
+            j += 1
+            g1 = nodes.take(j, out=g1_buf[:n], mode="clip")
+            s = values.take(j, out=v1_buf[:n], mode="clip")
+            # np.interp's rounding: (v1 - v0) / (g1 - g0) * (t - g0) + v0
+            s -= v0
+            g1 -= g0
+            s /= g1
+            s *= np.subtract(t.ravel(), g0, out=g0)
+            s += v0
+            s[at] = values[node]
+            # c t + d F(t) + f, rounded in the order of the per-map formula
+            s = s.reshape(t.shape)
             s *= self._d[rows]
             out = blk[rows]
             np.multiply(self._c[rows], t, out=out)
             out += s
             out += self._f[rows]
-        step = self._step
-        new = []
-        for alpha, (ds, rows, grid) in enumerate(zip(self.datasets, self._rows, self.grids),
-                                                 start=1):
+        new = np.empty(self._spans[-1].stop)
+        for alpha, (ds, rows, dest) in enumerate(
+                zip(self.datasets, self._rows, self.split(new)), start=1):
             worst_knot_dev = float(np.max(np.abs(
                 [blk[rows, 0] - ds.fs[:-1], blk[rows, -1] - ds.fs[1:]])))
             scale = 1.0 + float(np.max(np.abs(ds.fs)))
@@ -209,10 +279,8 @@ class _Transfer:
                 raise ValueError(
                     f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
                 )
-            values = np.empty(grid.size)
-            values[:-1] = blk[rows, :-1].ravel()
-            values[::step] = ds.fs
-            new.append(values)
+            dest[:-1].reshape(-1, step)[...] = blk[rows, :-1]
+            dest[::step] = ds.fs
         return new
 
 
@@ -233,8 +301,9 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
     interpolates all knots from the first application on.
     """
     _check_family(system, family)
-    sweep = _Transfer(system, resolution)
-    return _as_family(sweep.grids, sweep([(fn.grid, fn.values) for fn in family]))
+    sweep = _Transfer(system, resolution, [fn.grid for fn in family])
+    new = sweep(np.concatenate([fn.values for fn in family]))
+    return _as_family(sweep.grids, sweep.split(new))
 
 
 def sup_distance(u: SampledFunction, v: SampledFunction) -> float:
@@ -286,28 +355,33 @@ def fixed_point(
     delta drops to `tol`; raises ConvergenceError (carrying the iteration
     count and last delta) if `max_iters` steps are not enough.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     sweep = _Transfer(system, resolution)
-    values = [fn.values for fn in initial_family(system, resolution)]
+    values = np.concatenate([_chord(ds, g) for ds, g in zip(system.datasets, sweep.grids)])
     deltas: list[float] = []
     for iteration in range(1, max_iters + 1):
-        nxt = sweep(zip(sweep.grids, values))
-        delta = max(float(np.max(np.abs(w - v))) for w, v in zip(nxt, values))
-        deltas.append(delta)
+        nxt = sweep(values)
+        # the old values are done with: take |old - new| in their place
+        np.subtract(values, nxt, out=values)
+        deltas.append(float(np.max(np.abs(values, out=values))))
         values = nxt
-        if delta <= tol:
-            bound = delta * system.r / (1.0 - system.r)
-            return FixedPointResult(
-                family=_as_family(sweep.grids, values),
-                iterations=iteration,
-                final_delta=delta,
-                error_bound=bound,
-                deltas=tuple(deltas),
-            )
-    raise ConvergenceError(max_iters, deltas[-1], tol)
+        if deltas[-1] <= tol:
+            break
+    else:
+        raise ConvergenceError(max_iters, deltas[-1], tol)
+    grids, values = sweep.grids, sweep.split(values)
+    del sweep  # free the stencil before the family copies grids and values
+    delta = deltas[-1]
+    return FixedPointResult(
+        family=_as_family(grids, values),
+        iterations=iteration,
+        final_delta=delta,
+        error_bound=delta * system.r / (1.0 - system.r),
+        deltas=tuple(deltas),
+    )
 
 
 def _knot_residual(dataset: DataSet, fn: SampledFunction) -> float:

@@ -3,10 +3,12 @@
 The reference functions below are the earlier implementations of `apply_T`
 and `fixed_point`, kept verbatim as oracles. The batched kernel does the
 same floating-point operations in the same order, so every value, every
-delta, the final delta and the sweep count must be equal, not just close.
+delta, the final delta and the sweep count must be equal, not just close:
+values are compared bit for bit, so a zero must keep its sign too.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from gdfif import (
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.funcspace import _check_family, _Transfer
 from conftest import EX2_POINTS_1, EX2_POINTS_2
-from support import random_admissible_family, random_dataset
+from support import random_admissible_family, random_dataset, random_narrow_system
 
 BUNDLED = ("example1", "example2", "example2b", "flat")
 RESOLUTIONS = (2, 3, 64, 257)
@@ -89,6 +91,24 @@ def assert_same_family(got, want):
         assert g.vertex == w.vertex
         np.testing.assert_array_equal(g.grid, w.grid)
         np.testing.assert_array_equal(g.values, w.values)
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+def assert_same_blocks(system, family, resolution):
+    """Every one-sided block value, the ones at knots included, is np.interp's.
+
+    The knot samples of the result are overwritten by the knot ordinates,
+    so a pullback at or past a source domain end shows only here.
+    """
+    sweep = _Transfer(system, resolution, [fn.grid for fn in family])
+    sweep(np.concatenate([fn.values for fn in family]))
+    want = []
+    for alpha in range(1, system.n + 1):
+        xs = system.dataset(alpha).xs
+        for i, m in enumerate(system.maps_for(alpha), start=1):
+            t = (np.linspace(xs[i - 1], xs[i], resolution) - m.e) / m.a
+            want.append(m.c * t + m.d * family.get(m.source_vertex).evaluate(t) + m.f)
+    assert sweep._blk.tobytes() == np.array(want).tobytes()
 
 
 def assert_same_solve(system, resolution, tol=1e-9, max_iters=200):
@@ -147,23 +167,56 @@ def test_source_grid_other_than_the_standard_grid(ex2b_system, rng):
                        apply_T_reference(ex2b_system, family, 16))
 
 
-def test_pullbacks_on_source_nodes(ex2_system, rng):
-    # Each source function is sampled at exactly the pullbacks that land in
-    # its domain, so every interpolation hits a node.
-    resolution = 24
-    pullbacks = _Transfer(ex2_system, resolution)._t
-    sources = np.sort([m.source_vertex for row in ex2_system.maps for m in row])
+def nodes_at_pullbacks(system, resolution, rng, inside=None):
+    """A family sampled at exactly the pullbacks that land in each domain.
+
+    Every interior interpolation of the next sweep then hits a node.
+    `inside` fills the interior values (random in [-2, 2] by default).
+    `_Transfer._t` holds one row of pullbacks per map, in the order of
+    `system.maps`.
+    """
+    pullbacks = _Transfer(system, resolution)._t
+    sources = np.array([m.source_vertex for row in system.maps for m in row])
     fns = []
-    for beta in range(1, ex2_system.n + 1):
-        ds = ex2_system.dataset(beta)
+    for beta in range(1, system.n + 1):
+        ds = system.dataset(beta)
         t = pullbacks[sources == beta].ravel()
         grid = np.union1d(t[(t > ds.xs[0]) & (t < ds.xs[-1])], [ds.xs[0], ds.xs[-1]])
-        values = rng.uniform(-2.0, 2.0, grid.size)
+        values = rng.uniform(-2.0, 2.0, grid.size) if inside is None else np.full(grid.size, inside)
         values[[0, -1]] = ds.fs[[0, -1]]
         fns.append(SampledFunction(beta, grid, values))
-    family = FunctionFamily(tuple(fns))
-    assert_same_family(apply_T(ex2_system, family, resolution),
-                       apply_T_reference(ex2_system, family, resolution))
+    return FunctionFamily(tuple(fns))
+
+
+def test_pullbacks_on_source_nodes(ex2_system, rng):
+    family = nodes_at_pullbacks(ex2_system, 24, rng)
+    assert_same_family(apply_T(ex2_system, family, 24),
+                       apply_T_reference(ex2_system, family, 24))
+    assert_same_blocks(ex2_system, family, 24)
+
+
+def test_a_node_hit_returns_the_node_value_with_its_sign():
+    # A flat data set on a negative domain, c = 0 and f = -0.0: each block
+    # value is c t + d s + f = -0.0 + d s + -0.0, which keeps the sign of
+    # s = -0.0 at a node hit. np.interp returns the node's -0.0 there, while
+    # its interpolation formula would give slope * 0 + -0.0 = +0.0.
+    ds = DataSet(((-3.0, 0.0), (-2.0, 0.0), (-1.2, 0.0), (0.0, 0.0)))
+    system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 3]))
+    maps = tuple(dataclasses.replace(m, c=0.0, f=-0.0) for m in system.maps_for(1))
+    system = dataclasses.replace(system, maps=(maps,))
+    family = nodes_at_pullbacks(system, 24, None, inside=-0.0)
+    got = apply_T(system, family, 24)
+    assert np.signbit(got.get(1).values).sum() > 40
+    assert_same_family(got, apply_T_reference(system, family, 24))
+
+
+def nudged(system, vertex, interval, **coefficients):
+    """`system` with some coefficients of one map replaced."""
+    row = list(system.maps_for(vertex))
+    row[interval - 1] = dataclasses.replace(row[interval - 1], **coefficients)
+    maps = list(system.maps)
+    maps[vertex - 1] = tuple(row)
+    return dataclasses.replace(system, maps=tuple(maps))
 
 
 def test_pullbacks_one_ulp_outside_the_source_domain(ex1_system, rng):
@@ -173,12 +226,85 @@ def test_pullbacks_one_ulp_outside_the_source_domain(ex1_system, rng):
     e = m.e
     while (0.0 - e) / m.a >= 0.0:
         e = np.nextafter(e, np.inf)
-    maps = (dataclasses.replace(m, e=float(e)),) + ex1_system.maps_for(1)[1:]
-    system = dataclasses.replace(ex1_system, maps=(maps,))
-    assert _Transfer(system, 32)._t.min() < 0.0
+    system = nudged(ex1_system, 1, 1, e=float(e))
+    assert _Transfer(system, 32)._t[0, 0] < 0.0
     family = random_admissible_family(system, 32, rng)
     assert_same_family(apply_T(system, family, 32), apply_T_reference(system, family, 32))
+    assert_same_blocks(system, family, 32)
     assert_same_solve(system, 32)
+
+
+def test_pullbacks_one_ulp_past_the_right_end_of_the_source_domain(ex2_system, rng):
+    # Shrink the a of vertex 2's last map, which reads vertex 2, until its
+    # last pullback lands just above the source domain's right end.
+    m = ex2_system.maps_for(2)[-1]
+    right = ex2_system.dataset(m.source_vertex).xs[-1]
+    x = ex2_system.dataset(2).xs[-1]
+    a = m.a
+    while not (x - m.e) / a > right:
+        a = np.nextafter(a, 0.0)
+    system = nudged(ex2_system, 2, 4, a=float(a))
+    assert _Transfer(system, 32)._t[-1, -1] == np.nextafter(right, np.inf)
+    family = random_admissible_family(system, 32, rng)
+    assert_same_family(apply_T(system, family, 32), apply_T_reference(system, family, 32))
+    assert_same_blocks(system, family, 32)
+    assert_same_solve(system, 32)
+
+
+def test_source_grid_coarser_than_the_output_grid(ex2b_system, rng):
+    family = random_admissible_family(ex2b_system, 5, rng)
+    assert_same_family(apply_T(ex2b_system, family, 64),
+                       apply_T_reference(ex2b_system, family, 64))
+    assert_same_blocks(ex2b_system, family, 64)
+
+
+def test_resolution_two_reads_only_the_knots(rng):
+    # Every pullback is a source domain end, up to round-off: each lands on
+    # a node, below the grid, at or past its end, or an ulp inside.
+    system = random_narrow_system(rng)
+    assert_same_solve(system, 2)
+    family = random_admissible_family(system, 2, rng)
+    assert_same_family(apply_T(system, family, 2), apply_T_reference(system, family, 2))
+    assert_same_blocks(system, family, 2)
+
+
+@pytest.fixture(scope="module")
+def fine_system():
+    """A seeded 4 x 16 system, |d| <= 0.5, spans 8 to 12: the fine-solve shape."""
+    rng = np.random.default_rng(4096)
+    datasets = [random_dataset(rng, n_points=17, span=float(rng.uniform(8.0, 12.0)))
+                for _ in range(4)]
+    plan = WiringPlan.from_pairs([
+        [(int(rng.integers(1, 5)), float(rng.uniform(-0.5, 0.5))) for _ in range(16)]
+        for _ in range(4)
+    ])
+    return build_system(datasets, plan)
+
+
+def test_fine_system_matches_reference_at_resolution_4096(fine_system):
+    # At this size consecutive pullbacks of a row sit about 16 source nodes
+    # apart, so np.interp's search guess misses on nearly every one.
+    assert_same_solve(fine_system, 4096)
+
+
+def test_fixed_point_memory_peak_at_resolution_4096(fine_system):
+    """The traced peak of one solve stays at the np.interp kernel's.
+
+    The np.interp kernel this one replaced peaked at 13.2 MB (13,181,510
+    bytes) on this system. A naive gather kernel, with an int64 index,
+    stored differences and slopes and full-size gather temporaries, peaked
+    at 21.5 MB on the benchmark's system of the same shape. The grids and
+    the pullbacks hold about 2.1 MB each at this size, so one stray
+    full-size array shows. The margin is 2%.
+    """
+    fixed_point(fine_system, 4096)
+    tracemalloc.start()
+    try:
+        fixed_point(fine_system, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_181_510 * 1.02
 
 
 def test_knot_deviation_still_raises(ex2_system):
@@ -202,3 +328,9 @@ def test_non_convergence_matches_reference(ex1_system):
     with pytest.raises(ConvergenceError) as want:
         fixed_point_reference(ex1_system, 64, 1e-15, 3)
     assert got.value.final_delta == want.value.final_delta
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_fixed_point_rejects_a_tol_that_is_not_positive(ex2_system, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fixed_point(ex2_system, 64, tol, 50)
