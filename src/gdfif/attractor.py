@@ -283,9 +283,12 @@ def _split(raw: np.ndarray) -> np.ndarray:
 # Window steps double the candidates scanned per side: 1, 2, 4, ...  A point
 # still scanning after the last step (many points of Q in its x-strip, as on
 # a near-vertical cloud) is finished against all of Q. Distances are taken
-# in blocks of about _BLOCK at a time.
+# in blocks of about _BLOCK at a time. After the first step up to _PROBES
+# points with the largest bounds are finished against all of Q, to lift the
+# floor early.
 _WINDOW_STEPS = 8
 _BLOCK = 1 << 16
+_PROBES = 64
 
 
 def directed_hausdorff(p_points, q_points) -> float:
@@ -294,12 +297,21 @@ def directed_hausdorff(p_points, q_points) -> float:
     Q is sorted by x, and each p scans outward from its place in that
     order, on both sides, until the next candidate on each side is at least
     its best distance so far away in x: no later candidate can then be
-    nearer. Every distance is max(|dx|, |dy|) of the input doubles, so the
-    result is the exact nearest-neighbour maximum.
+    nearer, so its best is exact. Only points that can still raise the
+    maximum are scanned that far. A floor, the largest exact best so far,
+    rises as points finish (and as a few probes with the largest bounds
+    are finished first), and a point whose best is at most the floor
+    leaves the scan, since its own nearest distance cannot exceed it.
+    Every distance is max(|dx|, |dy|) of the input doubles, so the result
+    is the exact nearest-neighbour maximum. Raises ValueError on an empty
+    set or a coordinate that is not finite.
     """
-    P = _as_point_array(p_points)
-    Q = _as_point_array(q_points)
-    Q = Q[np.argsort(Q[:, 0], kind="stable")]
+    return _directed(_as_point_array(p_points), _as_point_array(q_points), 0.0)
+
+
+def _directed(P, Q, floor):
+    """max(floor, directed_hausdorff(P, Q)) of checked point arrays."""
+    Q = Q[np.argsort(Q[:, 0])]
     # -inf/+inf sentinels end both sides: infinitely far, in x and in distance.
     qx = np.concatenate(([-np.inf], Q[:, 0], [np.inf]))
     qy = np.concatenate(([0.0], Q[:, 1], [0.0]))
@@ -318,15 +330,44 @@ def directed_hausdorff(p_points, q_points) -> float:
             dx -= px[k]
             dy -= py[k]
             best[k] = np.minimum(best[k], _max_norm_min(dx, dy, axis=0))
-        x, b, c = px[active], best[active], start[active]
+        if step == 0:
+            floor = _probe(px, py, qx, qy, best, active, floor)
+        # A point at or below the floor cannot raise the maximum.
+        b = best[active]
+        above = b > floor
+        active, b = active[above], b[above]
+        x, c = px[active], start[active]
         right = np.minimum(c + 2 * width - 1, len(qx) - 1)
         left = np.maximum(c - 2 * width, 0)
-        active = active[(qx[right] - x < b) | (x - qx[left] < b)]
+        scanning = (qx[right] - x < b) | (x - qx[left] < b)
+        # A point that stopped scanning has its exact nearest distance.
+        floor = float(b.max(initial=floor, where=~scanning))
+        active = active[scanning]
         if not active.size:
             break
     else:
         _finish_brute(px, py, qx, qy, best, active)
-    return float(best.max())
+        floor = max(floor, float(best[active].max()))
+    return floor
+
+
+def _probe(px, py, qx, qy, best, rows, floor):
+    """Finish against all of Q the rows, of the few with the largest bounds,
+    that are above the floor; return the floor raised to their largest
+    exact distance.
+
+    At most _PROBES rows are finished, and no more than make the work of
+    the first window step, two distances per point of P: a P much smaller
+    than Q runs no probe.
+    """
+    count = min(_PROBES, 2 * len(px) // len(qx))
+    if rows.size > count:
+        rows = rows[np.argpartition(best[rows], -count)[rows.size - count:]]
+    rows = rows[best[rows] > floor]
+    if not rows.size:
+        return floor
+    _finish_brute(px, py, qx, qy, best, rows)
+    return max(floor, float(best[rows].max()))
 
 
 def _finish_brute(px, py, qx, qy, best, rows):
@@ -349,12 +390,20 @@ def _max_norm_min(dx, dy, axis):
 
 
 def hausdorff_distance(p_points, q_points) -> float:
-    """Symmetric Hausdorff distance between two point sets in the max norm."""
-    return max(directed_hausdorff(p_points, q_points), directed_hausdorff(q_points, p_points))
+    """Symmetric Hausdorff distance between two point sets in the max norm.
+
+    The direction from P to Q is taken first; its value is the floor of
+    the direction from Q to P, whose points at or below it are not scanned.
+    """
+    P = _as_point_array(p_points)
+    Q = _as_point_array(q_points)
+    return _directed(Q, P, _directed(P, Q, 0.0))
 
 
 def _as_point_array(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("expected a nonempty (k, 2) array of points")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must have finite coordinates")
     return arr

@@ -71,6 +71,18 @@ class SampledFunction:
             raise ValueError("need at least two samples")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
+        self._keep(grid, values)
+
+    @classmethod
+    def _adopt(cls, vertex: int, grid: np.ndarray, values: np.ndarray) -> SampledFunction:
+        """A function that keeps `grid` and `values`, float64 arrays the solver
+        built on a standard grid and no caller writes, uncopied and unchecked."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "vertex", vertex)
+        fn._keep(grid, values)
+        return fn
+
+    def _keep(self, grid: np.ndarray, values: np.ndarray) -> None:
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -286,7 +298,7 @@ class _Transfer:
 
 def _as_family(grids, values) -> FunctionFamily:
     return FunctionFamily(tuple(
-        SampledFunction(alpha, grid, v)
+        SampledFunction._adopt(alpha, grid, v)
         for alpha, (grid, v) in enumerate(zip(grids, values), start=1)
     ))
 
@@ -372,11 +384,9 @@ def fixed_point(
             break
     else:
         raise ConvergenceError(max_iters, deltas[-1], tol)
-    grids, values = sweep.grids, sweep.split(values)
-    del sweep  # free the stencil before the family copies grids and values
     delta = deltas[-1]
     return FixedPointResult(
-        family=_as_family(grids, values),
+        family=_as_family(sweep.grids, sweep.split(values)),
         iterations=iteration,
         final_delta=delta,
         error_bound=delta * system.r / (1.0 - system.r),

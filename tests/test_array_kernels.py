@@ -44,12 +44,14 @@ from gdfif import (
 )
 import gdfif
 from gdfif import attractor
-from gdfif.attractor import _dedup, _lemire, data_clouds, directed_hausdorff
+from gdfif.attractor import (
+    _dedup, _lemire, data_clouds, directed_hausdorff, hausdorff_distance,
+)
 from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
-from support import random_dataset, random_narrow_system
+from support import random_dataset, random_narrow_system, random_two_vertex
 
 BUNDLED = ("example1", "example2", "example2b", "flat")
 
@@ -375,7 +377,7 @@ def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
     finished.clear()
     # Every point of one vertical line has all of the other in its x-strip.
     assert directed_hausdorff(column, column_q) == directed_hausdorff_reference(column, column_q)
-    assert finished and finished[0] > 10_000
+    assert finished and finished[-1] > 10_000  # the first call finishes the probes
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -389,6 +391,87 @@ def test_directed_hausdorff_matches_ckdtree_on_bundled_clouds(name):
         for p, q in ((cloud.points, graph), (graph, cloud.points)):
             want = float(np.max(spatial.cKDTree(q).query(p, k=1, p=np.inf)[0]))
             assert directed_hausdorff(p, q) == want
+
+
+def assert_hausdorff_matches_reference(p, q):
+    """Both directions and the symmetric distance both ways, bit for bit."""
+    pq = directed_hausdorff_reference(p, q)
+    qp = directed_hausdorff_reference(q, p)
+    assert directed_hausdorff(p, q).hex() == pq.hex()
+    assert directed_hausdorff(q, p).hex() == qp.hex()
+    assert hausdorff_distance(p, q).hex() == max(pq, qp).hex()
+    assert hausdorff_distance(q, p).hex() == max(pq, qp).hex()
+
+
+def _clouds_and_curves(name):
+    """(system, resolution, generations, dedup tolerance) of one case."""
+    if name == "wide":
+        return _wide_system(np.random.default_rng(808)), 8, 2, 1e-3
+    if name.startswith("two-vertex"):
+        datasets, plan = random_two_vertex(np.random.default_rng(int(name[-1])))
+        return build_system(datasets, plan), 32, 4, 1e-3
+    cfg, system = bundled_system(name)
+    return system, cfg.resolution, cfg.generations, cfg.dedup_tol
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "two-vertex-1", "two-vertex-2", "two-vertex-3"))
+def test_hausdorff_distance_matches_brute_force_on_clouds(name):
+    system, resolution, generations, tol = _clouds_and_curves(name)
+    family = fixed_point(system, resolution).family
+    for cloud, fn in zip(iterate_attractor(system, generations, tol), family):
+        assert_hausdorff_matches_reference(cloud.points, fn.as_points())
+
+
+def test_hausdorff_maximum_held_by_a_point_that_is_no_probe(monkeypatch):
+    # For every decoy on x = 0 the two neighbours in x order are about 100
+    # away, and a point 1/128 away waits one step further out. So the
+    # decoys have the largest bounds after the first window step and are
+    # the probes, and they lift the floor to 1/128. The maximum is held by
+    # the last point, one ulp above that floor.
+    probed = []
+    finish = attractor._finish_brute
+    monkeypatch.setattr(attractor, "_finish_brute",
+                        lambda *a: probed.append(a[-1].copy()) or finish(*a))
+    decoys = np.column_stack((np.zeros(2000), np.linspace(-1 / 256, 1 / 256, 2000)))
+    top = np.nextafter(1 / 128, 1.0)
+    p = np.vstack((decoys, [[-50.0, top]]))
+    q = np.array([[0.0, 100.0], [-1 / 1024, 100.0], [1 / 128, 0.0], [-50.0, 0.0]])
+    assert directed_hausdorff(p, q) == top
+    assert len(probed[0]) == attractor._PROBES and len(p) - 1 not in probed[0]
+    assert_hausdorff_matches_reference(p, q)
+
+
+def test_probes_cost_no_more_than_the_first_window_step(monkeypatch):
+    # A probe costs |Q| + 2 distances, the first window step 2 per point of
+    # P, so a small P against a large Q runs no probe at all.
+    probed = []
+    finish = attractor._finish_brute
+    monkeypatch.setattr(attractor, "_finish_brute",
+                        lambda *a: probed.append(len(a[-1])) or finish(*a))
+    curve = np.column_stack((np.linspace(0.0, 1.0, 300), np.zeros(300)))
+    cloud = np.column_stack((np.linspace(0.0, 1.0, 9000), np.sin(np.arange(9000.0))))
+    directed_hausdorff(curve, cloud)
+    assert probed == []
+    directed_hausdorff(cloud, curve)
+    assert probed == [2 * 9000 // 302]
+    assert_hausdorff_matches_reference(curve, cloud)
+
+
+def test_hausdorff_adversarial_cases(rng):
+    row = np.column_stack((np.arange(1000.0), np.zeros(1000)))
+    grid = rng.integers(-3, 4, size=(300, 2)) * 0.5
+    cloud = rng.normal(size=(5000, 2))
+    cases = [
+        (row + [0.0, 0.25], row),  # every point ties at the floor, 0.25
+        (cloud, cloud),  # P equals Q
+        (grid, grid[::-1]),
+        (np.array([[0.5, -0.5]]), cloud),  # one point
+        (np.array([[0.5, -0.5]]), np.array([[2.0, 1.0]])),
+        (np.repeat(cloud[:700], 3, axis=0), cloud[::-1]),  # duplicates
+        (np.repeat(grid, 2, axis=0), np.vstack((grid[:40], grid[:40]))),
+    ]
+    for p, q in cases:
+        assert_hausdorff_matches_reference(p, q)
 
 
 @pytest.mark.parametrize("spec", [EXACT, PlotSpec(width=300, height=200, margin=7), PlotSpec()])

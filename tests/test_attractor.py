@@ -155,6 +155,18 @@ def test_hausdorff_rejects_empty():
         hausdorff_distance(pts, np.empty((0, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_hausdorff_rejects_a_coordinate_that_is_not_finite(bad, column):
+    good = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+    broken = good.copy()
+    broken[1, column] = bad
+    for distance in (directed_hausdorff, hausdorff_distance):
+        for p, q in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match="finite"):
+                distance(p, q)
+
+
 def test_cloud_requires_points():
     with pytest.raises(ValueError):
         AttractorCloud(1, np.empty((0, 2)), 0)

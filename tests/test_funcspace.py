@@ -49,6 +49,14 @@ def test_sampled_function_validation():
         SampledFunction(1, np.array([0.0]), np.array([1.0]))
 
 
+def test_sampled_function_keeps_read_only_copies_of_its_arrays():
+    grid, values = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    fn = SampledFunction(1, grid, values)
+    grid[1] = values[0] = 9.0
+    assert fn.grid.tolist() == [0.0, 1.0] and fn.values.tolist() == [2.0, 3.0]
+    assert not (fn.grid.flags.writeable or fn.values.flags.writeable)
+
+
 def test_initial_family_is_endpoint_chord(ex1_system):
     fam = initial_family(ex1_system, 16)
     fn = fam.get(1)

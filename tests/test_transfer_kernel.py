@@ -89,6 +89,7 @@ def assert_same_family(got, want):
     assert got.n == want.n
     for g, w in zip(got, want):
         assert g.vertex == w.vertex
+        assert not (g.grid.flags.writeable or g.values.flags.writeable)
         np.testing.assert_array_equal(g.grid, w.grid)
         np.testing.assert_array_equal(g.values, w.values)
         assert g.values.tobytes() == w.values.tobytes()
