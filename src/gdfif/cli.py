@@ -1,10 +1,11 @@
 """Config-driven command line: validate, run, eval, and render subcommands.
 
 Configs are YAML (schema documented in the README); a setting flag replaces
-the config's value and is checked like it. Exit codes: 0 success,
-1 validation violations, 2 structural, parse or range errors and clouds past
-their point budget, 3 solver non-convergence. All emitted artifacts are
-deterministic, so running the same config twice produces byte-identical files.
+the config's value and is checked like it. `main` alone picks the exit
+code: 0 success, 1 validation violations, 2 structural, parse or range
+errors, clouds past their point budget and any check of the library that
+the data fails (a ValueError), 3 solver non-convergence. All emitted
+artifacts are deterministic: the same config run twice gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -388,10 +389,7 @@ def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
     """Solve, iterate the attractor and write the artifacts; `run` adds the summary."""
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
     result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
-    try:
-        clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
     chaos = None
     if "chaos_csv" in dict(cfg.outputs):  # the one output that reads the chaos clouds
         chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
@@ -406,10 +404,7 @@ def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
 
 def cmd_eval(cfg: ProjectConfig, outdir: Path, args) -> int:
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    try:
-        value = evaluate_exact(system, args.vertex, args.x, args.depth)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    value = evaluate_exact(system, args.vertex, args.x, args.depth)
     _emit_json({"vertex": args.vertex, "x": args.x, "depth": args.depth, "value": value})
     return 0
 
@@ -439,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--depth", type=int, default=30)
     p_eval.set_defaults(handler=cmd_eval)
     sub.add_parser("render", parents=[common],
-                   help="emit plot artifacts only").set_defaults(handler=cmd_run)
+                   help="like run, but write every output except the summary"
+                   ).set_defaults(handler=cmd_run)
     return parser
 
 
@@ -451,12 +447,12 @@ def main(argv=None) -> int:
         cfg = load_config(resolve_config_arg(args.config), flags)
         outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
         return args.handler(cfg, outdir, args)
-    except (ConfigError, CloudBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidSystemError as exc:
+    except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
         _emit_json(_report_dict(exc.report))
         return 1
+    except (ConfigError, CloudBudgetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ConvergenceError as exc:
         _emit_json({
             "error": "no-convergence",

@@ -31,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .maps import GifsSystem
 from .model import DataSet
@@ -94,10 +93,6 @@ class SampledFunction:
     def as_points(self) -> np.ndarray:
         """Graph samples as a (k, 2) array."""
         return np.column_stack((self.grid, self.values))
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +199,8 @@ class _Transfer:
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
         self._rows = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
         t = np.empty((len(maps), resolution))
-        for grid, rows in zip(self.grids, self._rows):
-            # interval i's abscissas are the grid nodes i * step .. (i + 1) * step
-            np.subtract(sliding_window_view(grid, resolution)[::step], e[rows], out=t[rows])
+        for ds, rows in zip(datasets, self._rows):
+            np.subtract(_blocks(ds, resolution), e[rows], out=t[rows])
         t /= a
         starts = np.cumsum([0] + [g.size for g in sources])
         j = np.empty(t.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)

@@ -33,7 +33,11 @@ from .model import STRICT_MODE, DataSet, WiringPlan, validate
 
 @dataclass(frozen=True)
 class AffineMap:
-    """(x, y) -> (a x + e, c x + d y + f) with a lower-triangular linear part."""
+    """(x, y) -> (a x + e, c x + d y + f) with a lower-triangular linear part.
+
+    Its target is its place: `GifsSystem.maps[k][i]` maps onto interval i+1
+    of vertex k+1.
+    """
 
     a: float
     c: float
@@ -41,8 +45,6 @@ class AffineMap:
     e: float
     f: float
     source_vertex: int
-    target_vertex: int
-    target_interval: int
 
 
 class InvalidSystemError(ValueError):
@@ -117,10 +119,6 @@ class GifsSystem:
                 raise ValueError(
                     f"vertex {alpha} has {len(row)} maps for {ds.n_intervals} intervals")
             for i, m in enumerate(row, start=1):
-                if (m.target_vertex, m.target_interval) != (alpha, i):
-                    raise ValueError(
-                        f"map {i} of vertex {alpha} is labelled for interval "
-                        f"{m.target_interval} of vertex {m.target_vertex}")
                 if not 1 <= m.source_vertex <= n:
                     raise ValueError(
                         f"interval {i} of vertex {alpha} names source vertex "
@@ -191,10 +189,7 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
             e = (uS * p - u0 * q) / du
             c = (Q - P) / du - asg.d * (US - U0) / du
             f = (uS * P - u0 * Q) / du - asg.d * (uS * U0 - u0 * US) / du
-            vertex_maps.append(AffineMap(
-                a=a, c=c, d=asg.d, e=e, f=f,
-                source_vertex=asg.source, target_vertex=alpha, target_interval=i,
-            ))
+            vertex_maps.append(AffineMap(a=a, c=c, d=asg.d, e=e, f=f, source_vertex=asg.source))
         all_maps.append(tuple(vertex_maps))
     return GifsSystem(datasets, tuple(all_maps))
 
@@ -210,9 +205,9 @@ def endpoint_residuals(system: GifsSystem) -> float:
     worst = 0.0
     for alpha in range(1, system.n + 1):
         knots = np.array(system.dataset(alpha).points)
-        for m in system.maps_for(alpha):
+        for i, m in enumerate(system.maps_for(alpha)):
             source = system.dataset(m.source_vertex)
             got = transform_points(m, np.array([source.first, source.last]))
-            want = knots[m.target_interval - 1:m.target_interval + 1]
+            want = knots[i:i + 2]
             worst = max(worst, float(np.abs(got - want).max()))
     return worst

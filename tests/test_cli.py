@@ -410,6 +410,61 @@ def test_python_m_runs_the_cli(module, tmp_path):
     assert (tmp_path / "flat_summary.json").is_file()
 
 
+BUNDLED_CONFIGS = sorted(p.stem for p in (Path(gdfif.__file__).parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_bundled_run_is_warnings_clean(name, tmp_path):
+    # -X dev shows ResourceWarning (an unclosed file) and -W error makes any
+    # warning, a NumPy RuntimeWarning too, an exception.
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", name,
+                       "--outdir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def _bundled(name: str, **changes) -> dict:
+    """The bundled config `name`'s data and wiring, with `changes` added."""
+    raw = yaml.safe_load(bundled_config_path(name).read_text())
+    return {"datasets": raw["datasets"], "wiring": raw["wiring"], **changes}
+
+
+def _panels(n: int) -> dict:
+    """`n` copies of example1's data set, each wired to itself like example1."""
+    raw = _bundled("example1")
+    return {
+        "datasets": raw["datasets"] * n,
+        "wiring": [{"intervals": [{**item, "source": k} for item in raw["wiring"][0]["intervals"]]}
+                   for k in range(1, n + 1)],
+        "attractor": {"generations": 2},
+        "outputs": {"svg": "panels.svg"},
+    }
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"datasets": [{"points": [[0, 0], [1e308, 1.5e308], [1.7e308, -1.5e308]]}],
+      "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 2}]},
+     "one-sided knot values for vertex 1 deviate by inf"),
+    (_bundled("example2", attractor={"chaos_points": 150, "burn_in": 100},
+              outputs={"chaos_csv": "c.csv"}),
+     "vertex 1 kept no points past burn-in; increase total_points"),
+    # (900 - 40 * 23) / 22 < 0: no room for a panel on the 900-px canvas
+    (_panels(22), "canvas too small for the requested panel count"),
+], ids=["float-range", "chaos-vertex-left-empty", "22-panels"])
+def test_a_check_the_data_fails_past_validate_is_one_error_line(tmp_path, capsys, config,
+                                                                message):
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    assert main(["validate", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    proc = _run_python("-m", "gdfif", "run", cfg, "--outdir", str(tmp_path / "out"),
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    # the float-range case also prints NumPy's overflow warning first
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        f"error: {message}"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_does_not_load_scipy(tmp_path):
     proc = _run_python(
         "-c", "import sys, gdfif.cli; print('scipy.spatial' in sys.modules)", cwd=tmp_path

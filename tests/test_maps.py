@@ -39,8 +39,6 @@ def test_example2_cross_vertex_map(ex2_system):
     # a = 0.2, e = 0, c = 0.2, f = -2/3.
     m = ex2_system.maps_for(2)[0]
     assert m.source_vertex == 1
-    assert m.target_vertex == 2
-    assert m.target_interval == 1
     assert m.a == pytest.approx(0.2, abs=1e-15)
     assert m.e == pytest.approx(0.0, abs=1e-15)
     assert m.c == pytest.approx(0.2, abs=1e-15)
@@ -66,8 +64,6 @@ def test_map_layout_follows_plan(ex2_system, ex2_plan):
     for alpha in (1, 2):
         row = ex2_plan.for_vertex(alpha)
         for i, m in enumerate(ex2_system.maps_for(alpha), start=1):
-            assert m.target_vertex == alpha
-            assert m.target_interval == i
             assert m.source_vertex == row[i - 1].source
             assert m.d == row[i - 1].d
 
@@ -79,8 +75,7 @@ def test_apply_map_endpoint_images(ex1_system):
 
 
 def test_apply_map_identity_coefficients():
-    ident = AffineMap(a=1.0, c=0.0, d=1.0, e=0.0, f=0.0,
-                      source_vertex=1, target_vertex=1, target_interval=1)
+    ident = AffineMap(a=1.0, c=0.0, d=1.0, e=0.0, f=0.0, source_vertex=1)
     assert apply_map(ident, (1.7, -2.3)) == (1.7, -2.3)
 
 
