@@ -222,7 +222,8 @@ def chaos_game(
         pts = points[vertex == alpha - 1][burn_in:]
         if not len(pts):
             raise ValueError(
-                f"vertex {alpha} kept no points past burn-in; increase total_points"
+                f"vertex {alpha} kept no points past burn-in; "
+                "increase total_points (chaos_points for gdfif run)"
             )
         clouds.append(AttractorCloud._adopt(alpha, pts, total_points))
     return tuple(clouds)

@@ -19,10 +19,13 @@ metric by the factor r = max |d| < 1. Iterating from the straight-chord
 family therefore converges geometrically to the unique fixed family, which
 interpolates every knot of every data set. The pullbacks never change from
 sweep to sweep, so each is computed and located on its source grid once
-per system and resolution: a precomputed stencil. A sweep is then one
-gather of the source values at those stencil entries, with np.interp's own
-rounding, so every value is bit-identical to interpolating interval by
-interval with np.interp.
+per system and resolution, and every quantity of its interpolation that
+does not depend on the source values is rounded then: a precomputed
+stencil. A sweep is then one gather of the source values at those stencil
+entries, with np.interp's own rounding, so every value is bit-identical to
+interpolating interval by interval with np.interp. `fixed_point` iterates
+in the stencil's block layout, one row per map with the knot at both ends,
+and lays the result out on the grids once, at the end.
 """
 
 from __future__ import annotations
@@ -137,14 +140,33 @@ def standard_grid(dataset: DataSet, resolution: int) -> np.ndarray:
     return np.append(_blocks(dataset, resolution)[:, :-1], dataset.xs[-1])
 
 
-def _chord(dataset: DataSet, grid: np.ndarray) -> np.ndarray:
-    return np.interp(grid, [dataset.xs[0], dataset.xs[-1]], [dataset.fs[0], dataset.fs[-1]])
+def _chords(datasets, resolution: int) -> np.ndarray:
+    """Straight chords between each data set's endpoint ordinates, in block layout."""
+    return np.concatenate([
+        np.interp(_blocks(ds, resolution), [ds.xs[0], ds.xs[-1]], [ds.fs[0], ds.fs[-1]])
+        for ds in datasets
+    ])
+
+
+def _as_family(datasets, blocks: np.ndarray) -> FunctionFamily:
+    """The family on the standard grids whose values `blocks` holds in block layout.
+
+    Block layout has one row of `resolution` values per map, in target
+    order, with the knot at both ends. A vertex's grid values are its rows
+    less their right knots, then its domain's right end.
+    """
+    fns, lo = [], 0
+    for alpha, ds in enumerate(datasets, start=1):
+        rows = blocks[lo:lo + ds.n_intervals]
+        lo += ds.n_intervals
+        fns.append(SampledFunction._adopt(alpha, standard_grid(ds, blocks.shape[1]),
+                                          np.append(rows[:, :-1], rows[-1, -1])))
+    return FunctionFamily(tuple(fns))
 
 
 def initial_family(system: GifsSystem, resolution: int) -> FunctionFamily:
     """Straight chords between each data set's endpoint ordinates."""
-    grids = [standard_grid(ds, resolution) for ds in system.datasets]
-    return _as_family(grids, [_chord(ds, g) for ds, g in zip(system.datasets, grids)])
+    return _as_family(system.datasets, _chords(system.datasets, resolution))
 
 
 def _check_family(system: GifsSystem, family: FunctionFamily):
@@ -164,21 +186,29 @@ def _check_family(system: GifsSystem, family: FunctionFamily):
 class _Transfer:
     """The transfer operator of one system at one resolution, as a stencil.
 
-    Every map contributes one block row, in target order: the pullbacks
-    t = (x - e) / a of its target interval's `resolution` abscissas and
-    its coefficients as columns. Each pullback is located on its source
-    grid once, as the index j of the node at or below it among all source
-    grids laid end to end, so a sweep gathers the source values with no
-    search and reproduces np.interp bit for bit. A pullback strictly
-    between g[j] and g[j + 1] takes np.interp's formula
-    (v[j+1] - v[j]) / (g[j+1] - g[j]) * (t - g[j]) + v[j]; the few that
-    np.interp answers with a node value v[k] instead (an exact node hit,
-    t below the grid, or t at or past its end) take v[k] itself, signed
-    zero included. np.interp's retry of a NaN result, which only an
+    Its output is in block layout: one row of `resolution` values per map,
+    in target order, over the map's target interval with the knot at both
+    ends. Each pullback t = (x - e) / a of a row's abscissas is located on
+    its source grid once, as the index j of the node at or below it, so a
+    sweep gathers the source values with no search and reproduces np.interp
+    bit for bit. What does not change between sweeps is rounded here once,
+    as a sweep would round it: dg = g[j+1] - g[j], dt = t - g[j] (kept in
+    place of t) and ct = c t. A pullback strictly between g[j] and g[j + 1]
+    takes np.interp's formula (v[j+1] - v[j]) / dg * dt + v[j]; the few
+    that np.interp answers with a node value v[k] instead (an exact node
+    hit, t below the grid, or t at or past its end) take v[k] itself,
+    signed zero included. np.interp's retry of a NaN result, which only an
     infinite source value can cause, is not reproduced. The gather runs in
-    chunks of whole rows through reused buffers. The output `grids` are
-    views of one flat array and, unless `sources` names other grids, also
-    the source grids.
+    chunks of whole rows through reused buffers.
+
+    With no `sources` the operator reads its own block layout, so each
+    sweep's output is the next one's input. The pullbacks are then located
+    among the block abscissas, where every interior knot appears twice. A
+    row's right end is never the node at or below a pullback: the next
+    row's copy of its knot is, and the last row's end is clipped away. So
+    v[j + 1] is always the element after v[j], and the two copies of a knot
+    hold equal values. Otherwise it reads the values of the grids
+    `sources`, laid end to end.
     """
 
     _CHUNK = 16384  # pullbacks per gather: the chunk buffers stay in cache
@@ -186,43 +216,49 @@ class _Transfer:
     def __init__(self, system: GifsSystem, resolution: int, sources=None):
         datasets = system.datasets
         step = resolution - 1
-        self._nodes = np.concatenate([standard_grid(ds, resolution) for ds in datasets])
-        ends = np.cumsum([0] + [ds.n_intervals * step + 1 for ds in datasets])
-        self._spans = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-        self.grids = self.split(self._nodes)
-        if sources is None:
-            sources = self.grids
-        else:
-            self._nodes = np.concatenate(sources)
         maps = np.array([m for v in system.table for m in v.maps])
-        a, self._c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
+        a, c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
-        self._rows = [slice(lo, hi) for lo, hi in zip(firsts[:-1], firsts[1:])]
-        t = np.empty((len(maps), resolution))
-        for ds, rows in zip(datasets, self._rows):
-            np.subtract(_blocks(ds, resolution), e[rows], out=t[rows])
-        t /= a
+        # the abscissas in C order, unlike the blocks, so that row slices are views
+        x = np.concatenate([_blocks(ds, resolution) for ds in datasets],
+                           out=np.empty((len(maps), resolution)))
+        if sources is None:
+            sources = [x[lo:hi].ravel() for lo, hi in zip(firsts[:-1], firsts[1:])]
         starts = np.cumsum([0] + [g.size for g in sources])
-        j = np.empty(t.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)
+        j = np.empty(x.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)
+        dg = np.empty(x.shape)
         at, node = [], []
         read_from = maps[:, 5].astype(int)
         per = max(1, self._CHUNK // resolution)
-        for beta, grid in enumerate(sources):
-            readers = np.flatnonzero(read_from == beta)
-            # a few rows at a time, so the temporaries stay chunk-sized
-            for k in range(0, readers.size, per):
-                rows = readers[k:k + per]
-                tb = t[rows]
-                jb = np.searchsorted(grid, tb, side="right") - 1
-                np.clip(jb, 0, grid.size - 2, out=jb)
-                # np.interp reads a node value below the grid, on a node and
-                # at or past the grid's end: v[j], and v[j + 1] at or past it
-                past = tb >= grid[-1]
-                r, col = np.nonzero((grid[jb] >= tb) | past)
-                jb += starts[beta]
-                j[rows] = jb
-                at.append(rows[r] * resolution + col)
-                node.append(jb[r, col] + past[r, col])
+        # data near the float range may overflow here: reported below, by vertex
+        with np.errstate(all="ignore"):
+            t = x - e
+            t /= a
+            ct = c * t
+            for beta, grid in enumerate(sources):
+                readers = np.flatnonzero(read_from == beta)
+                # a few rows at a time, so the temporaries stay chunk-sized
+                for k in range(0, readers.size, per):
+                    rows = readers[k:k + per]
+                    tb = t[rows]
+                    jb = np.searchsorted(grid, tb, side="right") - 1
+                    np.clip(jb, 0, grid.size - 2, out=jb)
+                    g0 = grid[jb]
+                    # np.interp reads a node value below the grid, on a node and
+                    # at or past the grid's end: v[j], and v[j + 1] at or past it
+                    past = tb >= grid[-1]
+                    r, col = np.nonzero((g0 >= tb) | past)
+                    dg[rows] = grid[jb + 1] - g0
+                    t[rows] = tb - g0
+                    jb += starts[beta]
+                    j[rows] = jb
+                    at.append(rows[r] * resolution + col)
+                    node.append(jb[r, col] + past[r, col])
+        finite = np.isfinite(ct).all(axis=1) & np.isfinite(t).all(axis=1)
+        finite &= np.isfinite(dg).all(axis=1)
+        if not finite.all():
+            alpha = np.searchsorted(firsts, np.argmin(finite), side="right")
+            raise ValueError(f"the maps of vertex {alpha} leave the float range")
         at, node = np.concatenate(at), np.concatenate(node)
         order = np.argsort(at)
         at, node = at[order], node[order]
@@ -230,71 +266,55 @@ class _Transfer:
         cuts = np.searchsorted(at, np.append(chunks, len(maps)) * resolution)
         self._chunks = [(slice(r0, r0 + per), at[lo:hi] - r0 * resolution, node[lo:hi])
                         for r0, lo, hi in zip(chunks, cuts[:-1], cuts[1:])]
-        self._t, self._j = t, j
+        self._j, self._dg, self._dt, self._ct = j, dg, t, ct
         self._idx = np.empty(t[:per].size, dtype=np.intp)
-        self._buf = np.empty((4, self._idx.size))
-        self._blk = np.empty_like(t)
-        self.datasets = datasets
+        self._buf = np.empty((2, self._idx.size))
+        self._firsts = firsts[:-1]
+        self._knots = np.concatenate([np.column_stack((ds.fs[:-1], ds.fs[1:]))
+                                      for ds in datasets])
+        self._tol = np.array([1e-6 * (1.0 + float(np.max(np.abs(ds.fs)))) for ds in datasets])
         self._step = step
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Per-vertex views of a flat array laid out like `grids`."""
-        return [flat[span] for span in self._spans]
-
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """New values on `grids` from the source values laid end to end.
+        """New values in block layout from the source values, read in C order.
 
         Both one-sided values at every knot must agree with the knot
-        ordinate up to round-off (ValueError otherwise); the knot samples
-        are then written exactly. Returns one flat array laid out like
-        `grids`.
+        ordinate up to round-off (ValueError otherwise). They are kept, as
+        one (maps, 2) array, in `_ends`; the knot samples are then written
+        exactly.
         """
-        idx, (g0_buf, v0_buf, g1_buf, v1_buf) = self._idx, self._buf
-        nodes, blk, step = self._nodes, self._blk, self._step
+        values = values.ravel()
+        after = values[1:]
+        idx, (v0_buf, v1_buf) = self._idx, self._buf
+        new = np.empty(self._ct.shape)
         for rows, at, node in self._chunks:
-            t = self._t[rows]
-            n = t.size
+            dt = self._dt[rows]
+            n = dt.size
             j = idx[:n]
             j[...] = self._j[rows].ravel()
-            g0 = nodes.take(j, out=g0_buf[:n], mode="clip")
             v0 = values.take(j, out=v0_buf[:n], mode="clip")
-            j += 1
-            g1 = nodes.take(j, out=g1_buf[:n], mode="clip")
-            s = values.take(j, out=v1_buf[:n], mode="clip")
-            # np.interp's rounding: (v1 - v0) / (g1 - g0) * (t - g0) + v0
+            s = after.take(j, out=v1_buf[:n], mode="clip")
+            # np.interp's rounding: (v1 - v0) / dg * dt + v0
             s -= v0
-            g1 -= g0
-            s /= g1
-            s *= np.subtract(t.ravel(), g0, out=g0)
+            s /= self._dg[rows].ravel()
+            s *= dt.ravel()
             s += v0
             s[at] = values[node]
-            # c t + d F(t) + f, rounded in the order of the per-map formula
-            s = s.reshape(t.shape)
+            # c t + d F(t) + f, rounded as the per-map formula (addition commutes)
+            s = s.reshape(dt.shape)
             s *= self._d[rows]
-            out = blk[rows]
-            np.multiply(self._c[rows], t, out=out)
-            out += s
-            out += self._f[rows]
-        new = np.empty(self._spans[-1].stop)
-        for alpha, (ds, rows, dest) in enumerate(
-                zip(self.datasets, self._rows, self.split(new)), start=1):
-            worst_knot_dev = float(np.max(np.abs(
-                [blk[rows, 0] - ds.fs[:-1], blk[rows, -1] - ds.fs[1:]])))
-            scale = 1.0 + float(np.max(np.abs(ds.fs)))
-            if not worst_knot_dev <= 1e-6 * scale:
-                raise ValueError(
-                    f"one-sided knot values for vertex {alpha} deviate by {worst_knot_dev:.3e}"
-                )
-            dest[:-1].reshape(-1, step)[...] = blk[rows, :-1]
-            dest[::step] = ds.fs
+            s += self._ct[rows]
+            np.add(s, self._f[rows], out=new[rows])
+        knots = new[:, ::self._step]
+        self._ends = knots.copy()
+        worst = np.maximum.reduceat(np.abs(self._ends - self._knots).max(axis=1), self._firsts)
+        bad = np.flatnonzero(~(worst <= self._tol))
+        if bad.size:
+            raise ValueError(
+                f"one-sided knot values for vertex {bad[0] + 1} deviate by {worst[bad[0]]:.3e}"
+            )
+        knots[...] = self._knots
         return new
-
-
-def _as_family(grids, values) -> FunctionFamily:
-    return FunctionFamily(tuple(
-        SampledFunction._adopt(alpha, grid, v)
-        for alpha, (grid, v) in enumerate(zip(grids, values), start=1)
-    ))
 
 
 def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> FunctionFamily:
@@ -308,8 +328,7 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
     """
     _check_family(system, family)
     sweep = _Transfer(system, resolution, [fn.grid for fn in family])
-    new = sweep(np.concatenate([fn.values for fn in family]))
-    return _as_family(sweep.grids, sweep.split(new))
+    return _as_family(system.datasets, sweep(np.concatenate([fn.values for fn in family])))
 
 
 def sup_distance(u: SampledFunction, v: SampledFunction) -> float:
@@ -366,7 +385,7 @@ def fixed_point(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     sweep = _Transfer(system, resolution)
-    values = np.concatenate([_chord(ds, g) for ds, g in zip(system.datasets, sweep.grids)])
+    values = _chords(system.datasets, resolution)
     deltas: list[float] = []
     for iteration in range(1, max_iters + 1):
         nxt = sweep(values)
@@ -378,9 +397,10 @@ def fixed_point(
             break
     else:
         raise ConvergenceError(max_iters, deltas[-1], tol)
+    del sweep  # the stencil goes before the grid layout is built
     delta = deltas[-1]
     return FixedPointResult(
-        family=_as_family(sweep.grids, sweep.split(values)),
+        family=_as_family(system.datasets, values),
         iterations=iteration,
         final_delta=delta,
         error_bound=delta * system.r / (1.0 - system.r),

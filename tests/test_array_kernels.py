@@ -112,7 +112,8 @@ def chaos_game_reference(system, total_points, burn_in=0, seed=0):
     for alpha, pts in enumerate(kept, start=1):
         if not pts:
             raise ValueError(
-                f"vertex {alpha} kept no points past burn-in; increase total_points"
+                f"vertex {alpha} kept no points past burn-in; "
+                "increase total_points (chaos_points for gdfif run)"
             )
     return tuple(
         AttractorCloud(alpha, np.array(pts), total_points)

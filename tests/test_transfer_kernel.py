@@ -9,6 +9,7 @@ values are compared bit for bit, so a zero must keep its sign too.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,14 +103,23 @@ def assert_same_blocks(system, family, resolution):
     so a pullback at or past a source domain end shows only here.
     """
     sweep = _Transfer(system, resolution, [fn.grid for fn in family])
-    sweep(np.concatenate([fn.values for fn in family]))
-    want = []
+    got = sweep(np.concatenate([fn.values for fn in family]))
+    # the sweep keeps the knot columns' values from before the knot write
+    got[:, ::resolution - 1] = sweep._ends
+    maps = [m for row in system.maps for m in row]
+    want = [m.c * t + m.d * family.get(m.source_vertex).evaluate(t) + m.f
+            for m, t in zip(maps, pullbacks(system, resolution))]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def pullbacks(system, resolution):
+    """One row of pullbacks (x - e) / a per map, in the order of `system.maps`."""
+    rows = []
     for alpha in range(1, system.n + 1):
         xs = system.dataset(alpha).xs
         for i, m in enumerate(system.maps_for(alpha), start=1):
-            t = (np.linspace(xs[i - 1], xs[i], resolution) - m.e) / m.a
-            want.append(m.c * t + m.d * family.get(m.source_vertex).evaluate(t) + m.f)
-    assert sweep._blk.tobytes() == np.array(want).tobytes()
+            rows.append((np.linspace(xs[i - 1], xs[i], resolution) - m.e) / m.a)
+    return np.array(rows)
 
 
 def assert_same_solve(system, resolution, tol=1e-9, max_iters=200):
@@ -173,15 +183,13 @@ def nodes_at_pullbacks(system, resolution, rng, inside=None):
 
     Every interior interpolation of the next sweep then hits a node.
     `inside` fills the interior values (random in [-2, 2] by default).
-    `_Transfer._t` holds one row of pullbacks per map, in the order of
-    `system.maps`.
     """
-    pullbacks = _Transfer(system, resolution)._t
+    every = pullbacks(system, resolution)
     sources = np.array([m.source_vertex for row in system.maps for m in row])
     fns = []
     for beta in range(1, system.n + 1):
         ds = system.dataset(beta)
-        t = pullbacks[sources == beta].ravel()
+        t = every[sources == beta].ravel()
         grid = np.union1d(t[(t > ds.xs[0]) & (t < ds.xs[-1])], [ds.xs[0], ds.xs[-1]])
         values = rng.uniform(-2.0, 2.0, grid.size) if inside is None else np.full(grid.size, inside)
         values[[0, -1]] = ds.fs[[0, -1]]
@@ -228,7 +236,7 @@ def test_pullbacks_one_ulp_outside_the_source_domain(ex1_system, rng):
     while (0.0 - e) / m.a >= 0.0:
         e = np.nextafter(e, np.inf)
     system = nudged(ex1_system, 1, 1, e=float(e))
-    assert _Transfer(system, 32)._t[0, 0] < 0.0
+    assert pullbacks(system, 32)[0, 0] < 0.0
     family = random_admissible_family(system, 32, rng)
     assert_same_family(apply_T(system, family, 32), apply_T_reference(system, family, 32))
     assert_same_blocks(system, family, 32)
@@ -245,7 +253,7 @@ def test_pullbacks_one_ulp_past_the_right_end_of_the_source_domain(ex2_system, r
     while not (x - m.e) / a > right:
         a = np.nextafter(a, 0.0)
     system = nudged(ex2_system, 2, 4, a=float(a))
-    assert _Transfer(system, 32)._t[-1, -1] == np.nextafter(right, np.inf)
+    assert pullbacks(system, 32)[-1, -1] == np.nextafter(right, np.inf)
     family = random_admissible_family(system, 32, rng)
     assert_same_family(apply_T(system, family, 32), apply_T_reference(system, family, 32))
     assert_same_blocks(system, family, 32)
@@ -321,6 +329,18 @@ def test_knot_deviation_still_raises(ex2_system):
     assert "vertex 2 deviate" in str(got.value)
     with pytest.raises(ValueError, match="vertex 2 deviate"):
         fixed_point(broken, 16)
+
+
+def test_maps_past_the_float_range_raise_naming_the_vertex():
+    # The pullbacks and c t overflow: an error, and no NumPy warning first.
+    ds = DataSet(((0.0, 0.0), (1e308, 1.5e308), (1.7e308, -1.5e308)))
+    system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 2]))
+    family = initial_family(system, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: fixed_point(system, 16), lambda: apply_T(system, family, 16)):
+            with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
+                solve()
 
 
 def test_non_convergence_matches_reference(ex1_system):
