@@ -70,13 +70,17 @@ def _check_clouds(system: GifsSystem, clouds):
 
 
 def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
-    """One set-valued step: each vertex becomes the union of its maps' images."""
+    """One set-valued step: each vertex becomes the union of its maps' images.
+
+    The images are stored column-major, so each coordinate is one
+    contiguous run for the step that reads it next.
+    """
     clouds = _check_clouds(system, clouds)
     out = []
     for alpha in range(1, system.n + 1):
         maps = system.maps_for(alpha)
         sources = [clouds[m.source_vertex - 1].points for m in maps]
-        images = np.empty((sum(map(len, sources)), 2))
+        images = np.empty((sum(map(len, sources)), 2), order="F")
         lo = 0
         for m, pts in zip(maps, sources):
             transform_points(m, pts, out=images[lo:lo + len(pts)])
@@ -97,8 +101,9 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     Each point's cell number goes above its row index in one int64 key, so
     a single sort groups the cells with the first-seen row leading each;
     cells too many to pack, or numbered past int64 (a tiny tol), are grouped
-    by a two-column lexsort of the float cell numbers. Raises ValueError
-    when a cell number is not finite.
+    by a two-column lexsort of the float cell numbers. The kept rows are
+    returned column-major. Raises ValueError when a cell number is not
+    finite.
     """
     n = len(points)
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -120,7 +125,7 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         fy = fy[order]
         first = np.ones(n, dtype=bool)
         first[1:] = (fx[1:] != fx[:-1]) | (fy[1:] != fy[:-1])
-        return points[np.sort(order[first])]
+        return _take_rows(points, np.sort(order[first]))
     # Each float column goes once cast, so at most three n-long arrays are held.
     key = fx.astype(np.int64)
     del fx
@@ -139,7 +144,16 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     keep = key[first]
     keep &= (1 << bits) - 1
     keep.sort()
-    return points[keep]
+    return _take_rows(points, keep)
+
+
+def _take_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """points[rows], gathered column by column into a column-major array."""
+    out = np.empty((len(rows), 2), order="F")
+    # Every row is in range; "clip" lets take write into `out` unbuffered.
+    for j in range(2):
+        np.take(points[:, j], rows, out=out[:, j], mode="clip")
+    return out
 
 
 def iterate_attractor(

@@ -4,8 +4,9 @@ Configs are YAML (schema documented in the README); a setting flag replaces
 the config's value and is checked like it. `main` alone picks the exit
 code: 0 success, 1 validation violations, 2 structural, parse or range
 errors, clouds past their point budget and any check of the library that
-the data fails (a ValueError), 3 solver non-convergence. All emitted
-artifacts are deterministic: the same config run twice gives byte-identical files.
+the data fails (a ValueError), 3 solver non-convergence, 141 a stdout
+pipe whose reader has closed. All emitted artifacts are deterministic:
+the same config run twice gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -440,27 +441,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        keys = [row[1] for row in SETTINGS] + ["condition3_mode"]
-        flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
-        cfg = load_config(resolve_config_arg(args.config), flags)
-        outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
-        return args.handler(cfg, outdir, args)
-    except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
-        _emit_json(_report_dict(exc.report))
-        return 1
-    except (ConfigError, CloudBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        _emit_json({
-            "error": "no-convergence",
-            "iterations": exc.iterations,
-            "final_delta": exc.final_delta,
-            "tol": exc.tol,
-        }, stream=sys.stderr)
-        return 3
+        args = _build_parser().parse_args(argv)
+        try:
+            keys = [row[1] for row in SETTINGS] + ["condition3_mode"]
+            flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
+            cfg = load_config(resolve_config_arg(args.config), flags)
+            outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
+            return args.handler(cfg, outdir, args)
+        except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
+            _emit_json(_report_dict(exc.report))
+            return 1
+        except (ConfigError, CloudBudgetError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ConvergenceError as exc:
+            _emit_json({
+                "error": "no-convergence",
+                "iterations": exc.iterations,
+                "final_delta": exc.final_delta,
+                "tol": exc.tol,
+            }, stream=sys.stderr)
+            return 3
+        finally:
+            sys.stdout.flush()  # so that a closed pipe fails here, not at shutdown
+    except BrokenPipeError:
+        # The reader of stdout has gone: what is left goes to os.devnull, so
+        # the flush at shutdown stays quiet. 141 is a shell's 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def entry():

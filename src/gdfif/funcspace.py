@@ -259,6 +259,15 @@ class _Transfer:
         if not finite.all():
             alpha = np.searchsorted(firsts, np.argmin(finite), side="right")
             raise ValueError(f"the maps of vertex {alpha} leave the float range")
+        # a zero step, where a grid repeats nodes, would make a sweep divide 0 by 0
+        repeated = (dg == 0).any(axis=1)
+        if repeated.any():
+            row = int(np.argmax(repeated))
+            alpha = int(np.searchsorted(firsts, row, side="right"))
+            raise ValueError(
+                f"interval {row - firsts[alpha - 1] + 1} of vertex {alpha} reads repeated "
+                f"grid nodes of vertex {read_from[row] + 1} at resolution {resolution}: "
+                f"an interval is too narrow to sample at that resolution")
         at, node = np.concatenate(at), np.concatenate(node)
         order = np.argsort(at)
         at, node = at[order], node[order]

@@ -123,6 +123,8 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
         pad = 0.04 * (hi - lo)
     else:
         pad = 0.5
+        if lo - pad == hi + pad:  # past 2**53 a half no longer widens the range
+            pad = 0.04 * abs(lo)
     return (lo - pad, hi + pad)
 
 

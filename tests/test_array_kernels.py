@@ -73,6 +73,11 @@ def dedup_float_reference(points, tol):
     return points[np.sort(index)]
 
 
+def bits(points):
+    """The bytes of a C-ordered copy: equal bits whatever the memory layout."""
+    return np.ascontiguousarray(points).tobytes()
+
+
 def transform_points_reference(m, points):
     x = points[:, 0]
     y = points[:, 1]
@@ -294,9 +299,12 @@ def test_dedup_matches_unique_reference(rng, monkeypatch):
     cases += [(pts, 1e-15, True), (at_limit, 1.0, False), (past_limit, 1.0, True),
               (np.array([[1.0, 2.0]]), tol, False)]
     for points, t, lexsorted in cases:
-        got, took_lexsort = _dedup_spied(points, t, monkeypatch)
-        assert np.array_equal(got, dedup_reference(points, t))
-        assert took_lexsort == lexsorted
+        # row-major input, and the column-major clouds that the step makes
+        for layout in (points, np.asfortranarray(points)):
+            got, took_lexsort = _dedup_spied(layout, t, monkeypatch)
+            assert bits(got) == bits(dedup_reference(points, t))
+            assert got.flags.f_contiguous
+            assert took_lexsort == lexsorted
     assert np.array_equal(_dedup(at_limit, 1.0), at_limit[:2])
 
 
@@ -329,22 +337,54 @@ def _three_vertex_system():
     return build_system(datasets, plan)
 
 
-@pytest.mark.parametrize("name", BUNDLED + ("three-vertex",))
+def iterate_attractor_reference(system, generations, tol):
+    """The step and dedup of the row-layout references, with no budget check."""
+    clouds = data_clouds(system)
+    for _ in range(generations):
+        clouds = tuple(AttractorCloud(c.vertex, dedup_float_reference(c.points, tol), c.generation)
+                       for c in hutchinson_step_reference(system, clouds))
+    return clouds
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("three-vertex", "wide", "two-vertex-1",
+                                             "two-vertex-2", "two-vertex-3"))
 def test_hutchinson_step_matches_vstack_reference(name):
+    # The step and the dedup store clouds column-major; the references are
+    # row-major. Their bytes in C order, and so every bit, must be equal.
     if name == "three-vertex":
         system, generations, tol = _three_vertex_system(), 6, 1e-3
     else:
-        cfg, system = bundled_system(name)
-        generations, tol = cfg.generations, cfg.dedup_tol
+        system, _, generations, tol = _clouds_and_curves(name)
     clouds = data_clouds(system)
     for _ in range(generations):
         got = hutchinson_step(system, clouds)
         want = hutchinson_step_reference(system, clouds)
         for g, w in zip(got, want):
             assert (g.vertex, g.generation) == (w.vertex, w.generation)
-            assert np.array_equal(g.points, w.points)
-        clouds = tuple(AttractorCloud(c.vertex, _dedup(c.points, tol), c.generation)
+            assert bits(g.points) == bits(w.points)
+            assert g.points.flags.f_contiguous and not g.points.flags.writeable
+        clouds = tuple(AttractorCloud._adopt(c.vertex, _dedup(c.points, tol), c.generation)
                        for c in got)
+        assert all(c.points.flags.f_contiguous for c in clouds)
+    got = iterate_attractor(system, generations, tol)
+    want = iterate_attractor_reference(system, generations, tol)
+    assert [bits(c.points) for c in got] == [bits(c.points) for c in want]
+    assert [bits(c.points) for c in got] == [bits(c.points) for c in clouds]
+
+
+def test_traced_iterate_attractor_calls_the_public_step_once_per_generation(monkeypatch):
+    # perfbench times `attractor.hutchinson_step` and counts its points by
+    # rebinding the module's public name, as this wrapper does.
+    system, _, generations, tol = _clouds_and_curves("example2")
+    untraced = iterate_attractor(system, generations, tol)
+    calls = []
+    step = attractor.hutchinson_step
+    monkeypatch.setattr(attractor, "hutchinson_step",
+                        lambda s, clouds: calls.append(clouds) or step(s, clouds))
+    traced = iterate_attractor(system, generations, tol)
+    assert len(calls) == generations
+    assert [c.generation for c in calls[-1]] == [generations - 1] * system.n
+    assert [bits(c.points) for c in traced] == [bits(c.points) for c in untraced]
 
 
 def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):

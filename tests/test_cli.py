@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import gdfif
-from gdfif import STRICT_MODE
+from gdfif import STRICT_MODE, PlotSpec
 from gdfif.cli import (
     OUTPUT_KEYS,
     SETTINGS,
@@ -395,12 +396,25 @@ def test_entry_raises_system_exit(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def _run_python(*args, cwd):
+def _run_python(*args, cwd, stdout=subprocess.PIPE):
     src = str(Path(gdfif.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", [["validate", "example1"], ["run", "example1"],
+                                     ["eval", "example1", "--x", "5"]])
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(command, tmp_path):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", *command,
+                           "--outdir", str(tmp_path), cwd=tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("module", ["gdfif", "gdfif.cli"])
@@ -441,6 +455,14 @@ def _panels(n: int) -> dict:
     }
 
 
+# Interval 1 is one ulp wide, so at resolution 64 its grid repeats nodes.
+REPEATED_NODES = {"datasets": [{"points": [[1, 0], [1.0000000000000002, 1], [2, 0], [3, 1]]}],
+                  "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}],
+                  "solver": {"resolution": 64}}
+REPEATED_NODES_ERROR = ("interval 2 of vertex 1 reads repeated grid nodes of vertex 1 at "
+                        "resolution 64: an interval is too narrow to sample at that resolution")
+
+
 @pytest.mark.parametrize("config, message", [
     ({"datasets": [{"points": [[0, 0], [1e308, 1.5e308], [1.7e308, -1.5e308]]}],
       "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 2}]},
@@ -451,7 +473,8 @@ def _panels(n: int) -> dict:
      "increase total_points (chaos_points for gdfif run)"),
     # (900 - 40 * 23) / 22 < 0: no room for a panel on the 900-px canvas
     (_panels(22), "canvas too small for the requested panel count"),
-], ids=["float-range", "chaos-vertex-left-empty", "22-panels"])
+    (REPEATED_NODES, REPEATED_NODES_ERROR),
+], ids=["float-range", "chaos-vertex-left-empty", "22-panels", "repeated-grid-nodes"])
 def test_a_check_the_data_fails_past_validate_is_one_error_line(tmp_path, capsys, config,
                                                                 message):
     cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
@@ -471,6 +494,33 @@ def test_the_float_range_failure_is_warnings_clean(tmp_path):
                        "--outdir", str(tmp_path / "out"), cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: the maps of vertex 1 leave the float range\n")
+
+
+def test_repeated_grid_nodes_are_one_error_line_and_warnings_clean(tmp_path):
+    # the sweep's 0 / 0, raised as an error, must not get past the check
+    cfg = str(write_config(tmp_path, yaml.safe_dump(REPEATED_NODES)))
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
+                       "--outdir", str(tmp_path / "out"), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {REPEATED_NODES_ERROR}\n")
+
+
+def test_a_one_valued_panel_past_2_53_renders_finite(tmp_path):
+    # A fixed pad of 0.5 around 1e17 leaves the range empty: each ordinate
+    # is 1e17, so the y range must be padded in proportion to it.
+    config = _bundled("flat", outputs={"svg": "flat.svg", "pgm": "flat.pgm"})
+    config["datasets"] = [{"points": [[x, 1e17] for x, _ in config["datasets"][0]["points"]]}]
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
+                       "--outdir", str(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    svg = (tmp_path / "flat.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count('class="knot"') == 3 and "<polyline" in svg and "<path" in svg
+    spec = PlotSpec()
+    header, pixels = (tmp_path / "flat.pgm").read_bytes().split(b"\n", 1)
+    assert header == f"P5 {spec.width} {spec.height} 255".encode()
+    rows = np.flatnonzero((np.frombuffer(pixels, np.uint8).reshape(spec.height, -1) == 0).any(1))
+    assert rows.tolist() == [spec.height // 2]  # the cloud, one level line mid-panel
 
 
 def test_import_does_not_load_scipy(tmp_path):
