@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -312,25 +312,13 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
     )
 
 
-def _report_dict(report) -> dict:
-    return {
-        "ok": report.ok,
-        "strongly_connected": report.strongly_connected,
-        "condition3_mode": report.condition3_mode,
-        "violations": [
-            {"code": v.code, "message": v.message, "indices": list(v.indices)}
-            for v in report.violations
-        ],
-    }
-
-
 def _emit_json(obj, stream=None) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
 
 
 def cmd_validate(cfg: ProjectConfig, outdir: Path, args) -> int:
     report = validate(cfg.datasets, cfg.plan, cfg.condition3_mode)
-    _emit_json(_report_dict(report))
+    _emit_json(asdict(report))
     return 0 if report.ok else 1
 
 
@@ -360,18 +348,15 @@ def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
 
 def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
     per_vertex = []
-    worst_h = 0.0
     for alpha in range(1, system.n + 1):
         fn = result.family.get(alpha)
-        h = hausdorff_distance(clouds[alpha - 1].points, fn.as_points())
-        worst_h = max(worst_h, h)
         ds = system.dataset(alpha)
         per_vertex.append({
             "vertex": alpha,
             "knots": len(ds.points),
             "samples": int(fn.grid.size),
             "cloud_points": len(clouds[alpha - 1]),
-            "hausdorff": h,
+            "hausdorff": hausdorff_distance(clouds[alpha - 1].points, fn.as_points()),
             "interpolation_residual": _knot_residual(ds, fn),
         })
     return {
@@ -381,7 +366,7 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
         "final_delta": result.final_delta,
         "error_bound": result.error_bound,
         "interpolation_residual": max(v["interpolation_residual"] for v in per_vertex),
-        "hausdorff": worst_h,
+        "hausdorff": max(v["hausdorff"] for v in per_vertex),
         "per_vertex": per_vertex,
     }
 
@@ -450,7 +435,7 @@ def main(argv=None) -> int:
             outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
             return args.handler(cfg, outdir, args)
         except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
-            _emit_json(_report_dict(exc.report))
+            _emit_json(asdict(exc.report))
             return 1
         except (ConfigError, CloudBudgetError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

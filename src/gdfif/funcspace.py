@@ -30,6 +30,7 @@ and lays the result out on the grids once, at the end.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -73,18 +74,6 @@ class SampledFunction:
             raise ValueError("need at least two samples")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
-        self._keep(grid, values)
-
-    @classmethod
-    def _adopt(cls, vertex: int, grid: np.ndarray, values: np.ndarray) -> SampledFunction:
-        """A function that keeps `grid` and `values`, float64 arrays the solver
-        built on a standard grid and no caller writes, uncopied and unchecked."""
-        fn = object.__new__(cls)
-        object.__setattr__(fn, "vertex", vertex)
-        fn._keep(grid, values)
-        return fn
-
-    def _keep(self, grid: np.ndarray, values: np.ndarray) -> None:
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -159,8 +148,8 @@ def _as_family(datasets, blocks: np.ndarray) -> FunctionFamily:
     for alpha, ds in enumerate(datasets, start=1):
         rows = blocks[lo:lo + ds.n_intervals]
         lo += ds.n_intervals
-        fns.append(SampledFunction._adopt(alpha, standard_grid(ds, blocks.shape[1]),
-                                          np.append(rows[:, :-1], rows[-1, -1])))
+        fns.append(SampledFunction(alpha, standard_grid(ds, blocks.shape[1]),
+                                   np.append(rows[:, :-1], rows[-1, -1])))
     return FunctionFamily(tuple(fns))
 
 
@@ -230,7 +219,7 @@ class _Transfer:
         at, node = [], []
         read_from = maps[:, 5].astype(int)
         per = max(1, self._CHUNK // resolution)
-        # data near the float range may overflow here: reported below, by vertex
+        # data near the float range may overflow here: each sweep reports it
         with np.errstate(all="ignore"):
             t = x - e
             t /= a
@@ -254,11 +243,6 @@ class _Transfer:
                     j[rows] = jb
                     at.append(rows[r] * resolution + col)
                     node.append(jb[r, col] + past[r, col])
-        finite = np.isfinite(ct).all(axis=1) & np.isfinite(t).all(axis=1)
-        finite &= np.isfinite(dg).all(axis=1)
-        if not finite.all():
-            alpha = np.searchsorted(firsts, np.argmin(finite), side="right")
-            raise ValueError(f"the maps of vertex {alpha} leave the float range")
         # a zero step, where a grid repeats nodes, would make a sweep divide 0 by 0
         repeated = (dg == 0).any(axis=1)
         if repeated.any():
@@ -284,13 +268,23 @@ class _Transfer:
         self._tol = np.array([1e-6 * (1.0 + float(np.max(np.abs(ds.fs)))) for ds in datasets])
         self._step = step
 
+    def _in_float_range(self, finite: np.ndarray) -> None:
+        """Raise ValueError naming the vertex of the first map whose `finite` is False."""
+        if not finite.all():
+            alpha = np.searchsorted(self._firsts, np.argmin(finite), side="right")
+            raise ValueError(f"the maps of vertex {alpha} leave the float range")
+
+    # np.interp's formula runs at every entry, also where a node value then
+    # replaces it: there a slope may overflow, and its product with dt = 0
+    # is NaN. A non-finite knot value raises here, any other in the callers.
+    @np.errstate(all="ignore")
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """New values in block layout from the source values, read in C order.
 
-        Both one-sided values at every knot must agree with the knot
-        ordinate up to round-off (ValueError otherwise). They are kept, as
-        one (maps, 2) array, in `_ends`; the knot samples are then written
-        exactly.
+        Both one-sided values at every knot must be finite and agree with
+        the knot ordinate up to round-off (ValueError otherwise). They are
+        kept, as one (maps, 2) array, in `_ends`; the knot samples are then
+        written exactly. The values between the knots are not checked.
         """
         values = values.ravel()
         after = values[1:]
@@ -316,9 +310,11 @@ class _Transfer:
             np.add(s, self._f[rows], out=new[rows])
         knots = new[:, ::self._step]
         self._ends = knots.copy()
-        worst = np.maximum.reduceat(np.abs(self._ends - self._knots).max(axis=1), self._firsts)
+        deviation = np.abs(self._ends - self._knots).max(axis=1)
+        worst = np.maximum.reduceat(deviation, self._firsts)
         bad = np.flatnonzero(~(worst <= self._tol))
         if bad.size:
+            self._in_float_range(np.isfinite(deviation))
             raise ValueError(
                 f"one-sided knot values for vertex {bad[0] + 1} deviate by {worst[bad[0]]:.3e}"
             )
@@ -337,7 +333,9 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
     """
     _check_family(system, family)
     sweep = _Transfer(system, resolution, [fn.grid for fn in family])
-    return _as_family(system.datasets, sweep(np.concatenate([fn.values for fn in family])))
+    new = sweep(np.concatenate([fn.values for fn in family]))
+    sweep._in_float_range(np.isfinite(new).all(axis=1))
+    return _as_family(system.datasets, new)
 
 
 def sup_distance(u: SampledFunction, v: SampledFunction) -> float:
@@ -401,6 +399,8 @@ def fixed_point(
         # the old values are done with: take |old - new| in their place
         np.subtract(values, nxt, out=values)
         deltas.append(float(np.max(np.abs(values, out=values))))
+        if not math.isfinite(deltas[-1]):
+            sweep._in_float_range(np.isfinite(values).all(axis=1))
         values = nxt
         if deltas[-1] <= tol:
             break

@@ -22,6 +22,7 @@ interpolation construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -141,7 +142,14 @@ class GifsSystem:
 
     @cached_property
     def table(self) -> tuple[VertexTable, ...]:
-        """`table[k]` is vertex k+1's knots and maps, built on first use."""
+        """`table[k]` is vertex k+1's knots and maps, built on first use.
+
+        Raises ValueError naming the first vertex with a map whose
+        coefficients overflowed or whose `a` underflowed to 0.
+        """
+        for alpha, maps in enumerate(self.maps, start=1):
+            if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in maps):
+                raise ValueError(f"the maps of vertex {alpha} leave the float range")
         domains = [(ds.first[0], ds.last[0]) for ds in self.datasets]
         return tuple(
             VertexTable(

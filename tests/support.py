@@ -8,6 +8,9 @@ of their internals.
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
 from gdfif import (
@@ -146,3 +149,24 @@ def random_admissible_family(system, resolution, rng, amplitude=4.0):
         vals[-1] = ds.fs[-1]
         fns.append(SampledFunction(alpha, grid, vals))
     return FunctionFamily(tuple(fns))
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def strict_finite_json(text: str):
+    """The one JSON value in `text`, with no NaN or Infinity, and every number finite."""
+    value = json.loads(text, parse_constant=_reject)
+
+    def walk(v):
+        if isinstance(v, dict):
+            for item in v.values():
+                walk(item)
+        elif isinstance(v, list):
+            for item in v:
+                walk(item)
+        elif isinstance(v, float):
+            assert math.isfinite(v), text
+    walk(value)
+    return value

@@ -1,5 +1,6 @@
 """Config parsing, subcommands, exit codes, and pipeline determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import gdfif
-from gdfif import STRICT_MODE, PlotSpec
+from gdfif import CONDITION3_MODES, STRICT_MODE, PlotSpec, validate
 from gdfif.cli import (
     OUTPUT_KEYS,
     SETTINGS,
@@ -22,6 +23,7 @@ from gdfif.cli import (
     read_points_csv,
     resolve_config_arg,
 )
+from support import strict_finite_json
 
 MINIMAL = """\
 datasets:
@@ -455,6 +457,17 @@ def _panels(n: int) -> dict:
     }
 
 
+# The maps' e overflows.
+FLOAT_RANGE = {"datasets": [{"points": [[0, 0], [1e308, 1.5e308], [1.7e308, -1.5e308]]}],
+               "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 2}]}
+FLOAT_RANGE_ERROR = "the maps of vertex 1 leave the float range"
+# Interval 1 of vertex 1, 1e-323 wide, reads vertex 2's span of 3e300, so
+# its map's a underflows to 0.
+A_UNDERFLOWS = {"datasets": [{"points": [[0, 0], [1e-323, 1], [2e-323, 0]]},
+                             {"points": [[0, 0], [1e300, 1], [2e300, 0], [3e300, 1]]}],
+                "wiring": [{"intervals": [{"source": 2, "d": 0.5}] * 2},
+                           {"intervals": [{"source": 2, "d": 0.5}] * 3}],
+                "condition3_mode": "used-edges-only"}
 # Interval 1 is one ulp wide, so at resolution 64 its grid repeats nodes.
 REPEATED_NODES = {"datasets": [{"points": [[1, 0], [1.0000000000000002, 1], [2, 0], [3, 1]]}],
                   "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}],
@@ -464,9 +477,7 @@ REPEATED_NODES_ERROR = ("interval 2 of vertex 1 reads repeated grid nodes of ver
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"datasets": [{"points": [[0, 0], [1e308, 1.5e308], [1.7e308, -1.5e308]]}],
-      "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 2}]},
-     "the maps of vertex 1 leave the float range"),
+    (FLOAT_RANGE, FLOAT_RANGE_ERROR),
     (_bundled("example2", attractor={"chaos_points": 150, "burn_in": 100},
               outputs={"chaos_csv": "c.csv"}),
      "vertex 1 kept no points past burn-in; "
@@ -487,13 +498,21 @@ def test_a_check_the_data_fails_past_validate_is_one_error_line(tmp_path, capsys
 
 def test_the_float_range_failure_is_warnings_clean(tmp_path):
     # NumPy's overflow warnings, raised as errors, must not get past the check
-    config = {"datasets": [{"points": [[0, 0], [1e308, 1.5e308], [1.7e308, -1.5e308]]}],
-              "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 2}]}
-    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    cfg = str(write_config(tmp_path, yaml.safe_dump(FLOAT_RANGE)))
     proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
                        "--outdir", str(tmp_path / "out"), cwd=tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "error: the maps of vertex 1 leave the float range\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {FLOAT_RANGE_ERROR}\n")
+
+
+@pytest.mark.parametrize("config, x", [(FLOAT_RANGE, 5e307), (A_UNDERFLOWS, 5e-324)],
+                         ids=["e-overflows", "a-underflows"])
+def test_eval_past_the_float_range_is_one_error_line(tmp_path, capsys, config, x):
+    # the walk read a NaN pullback, or divided by a = 0
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    assert main(["eval", cfg, f"--x={x!r}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {FLOAT_RANGE_ERROR}\n")
 
 
 def test_repeated_grid_nodes_are_one_error_line_and_warnings_clean(tmp_path):
@@ -502,6 +521,43 @@ def test_repeated_grid_nodes_are_one_error_line_and_warnings_clean(tmp_path):
     proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
                        "--outdir", str(tmp_path / "out"), cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {REPEATED_NODES_ERROR}\n")
+
+
+def _steep(y: float) -> dict:
+    """One vertex rising to y over 1e-8, then down to -y: the sweep's slopes overflow."""
+    return {"datasets": [{"points": [[0, 0], [1.0e-8, y], [1, -y], [2, 0]]}],
+            "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}],
+            "outputs": {"csv": "c.csv"}}
+
+
+# The curve CSV at y = 1e300, recorded when NumPy still warned of the
+# overflow in the entries that node values replace (x86-64, numpy 2.4).
+STEEP_CSV_SHA256 = "4c8bec7f2090003febeec80786627e788669a08fdb8e5fc048458a3889711830"
+
+
+@pytest.mark.parametrize("y, code, stderr", [
+    (1e300, 0, ""),
+    (1e305, 3, None),
+    (1e306, 2, "error: dedup tolerance 0.001 is too small: a point's cell number "
+               "(coordinate / tolerance) is not finite; use a larger dedup_tol\n"),
+    (1e307, 2, f"error: {FLOAT_RANGE_ERROR}\n"),
+], ids=["1e300", "1e305", "1e306", "1e307"])
+def test_overflow_in_the_sweep_is_warnings_clean(tmp_path, capsys, y, code, stderr):
+    cfg = str(write_config(tmp_path, yaml.safe_dump(_steep(y))))
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
+                       "--outdir", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        digest = hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest()
+        assert digest == STEEP_CSV_SHA256
+    elif code == 3:
+        assert proc.stdout == ""
+        assert strict_finite_json(proc.stderr)["error"] == "no-convergence"
+    else:
+        assert (proc.stdout, proc.stderr) == ("", stderr)
 
 
 def test_a_one_valued_panel_past_2_53_renders_finite(tmp_path):
@@ -684,6 +740,63 @@ def test_violating_config_prints_the_validate_report(tmp_path, capsys, command):
     assert captured.out == report
     assert captured.err == ""
     assert not outdir.exists()
+
+
+def _report_dict(report) -> dict:
+    """The validation report's JSON object, field by field: the reference serialiser."""
+    return {
+        "ok": report.ok,
+        "strongly_connected": report.strongly_connected,
+        "condition3_mode": report.condition3_mode,
+        "violations": [
+            {"code": v.code, "message": v.message, "indices": list(v.indices)}
+            for v in report.violations
+        ],
+    }
+
+
+def _reference_report(cfg: str, mode: str) -> str:
+    config = load_config(resolve_config_arg(cfg), {"condition3_mode": mode})
+    report = validate(config.datasets, config.plan, mode)
+    return json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
+
+
+# Every violation code: vertex 1 has two points and three assignments, one
+# naming vertex 4 and one with |d| >= 1; vertex 2 has a NaN and decreasing
+# abscissas; vertex 3, wired from vertex 1, has intervals wider than its span.
+EVERY_VIOLATION = """\
+datasets:
+  - points: [[0, 0], [1, 1]]
+  - points: [[0, .nan], [2, 1], [1, 0]]
+  - points: [[0, 0], [5, 1], [6, 0]]
+wiring:
+  - intervals:
+      - {source: 4, d: 0.3}
+      - {source: 1, d: 1.5}
+      - {source: 1, d: 0.3}
+  - intervals:
+      - {source: 2, d: 0.3}
+      - {source: 2, d: 0.3}
+  - intervals:
+      - {source: 1, d: 0.3}
+      - {source: 1, d: 0.3}
+"""
+
+
+@pytest.mark.parametrize("mode", CONDITION3_MODES)
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS + ["every-violation"])
+def test_the_validate_report_is_the_reference_serialisation(tmp_path, capsys, name, mode):
+    violating = name == "every-violation"
+    cfg = str(write_config(tmp_path, EVERY_VIOLATION)) if violating else name
+    expected = _reference_report(cfg, mode)
+    assert main(["validate", cfg, "--condition3-mode", mode]) == int(violating)
+    assert capsys.readouterr().out == expected
+    if violating:
+        codes = {v["code"] for v in json.loads(expected)["violations"]}
+        assert codes == {"points/count", "points/finite", "points/order", "wiring/source",
+                         "wiring/factor", "wiring/length", "data/width-ratio"}
+        assert main(["run", cfg, "--condition3-mode", mode, "--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize("command", [["validate"], ["eval", "--x", "1.5"]])

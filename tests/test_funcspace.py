@@ -66,6 +66,14 @@ def test_initial_family_is_endpoint_chord(ex1_system):
     assert np.allclose(fn.values, fn.grid / 10.0, atol=1e-15)
 
 
+def test_initial_family_refuses_a_grid_that_repeats_nodes():
+    # interval 1 is one ulp wide, so at resolution 64 its grid repeats nodes
+    ds = DataSet(((1.0, 0.0), (1.0000000000000002, 1.0), (2.0, 0.0), (3.0, 1.0)))
+    system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 3]))
+    with pytest.raises(ValueError, match="grid must be strictly increasing"):
+        initial_family(system, 64)
+
+
 def test_sup_distance_basics():
     a = SampledFunction(1, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     b = SampledFunction(1, np.array([0.0, 1.0]), np.array([1.0, 1.0]))

@@ -26,6 +26,7 @@ from gdfif import (
     family_distance,
     fixed_point,
     initial_family,
+    standard_grid,
 )
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.funcspace import _check_family, _Transfer
@@ -341,6 +342,35 @@ def test_maps_past_the_float_range_raise_naming_the_vertex():
         for solve in (lambda: fixed_point(system, 16), lambda: apply_T(system, family, 16)):
             with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
                 solve()
+
+
+def test_finite_maps_whose_c_t_overflows_raise_naming_the_vertex(ex2_system):
+    # the map table holds only finite coefficients: the stencil finds c t
+    maps = list(ex2_system.maps_for(2))
+    maps[2] = dataclasses.replace(maps[2], c=1e308)
+    broken = dataclasses.replace(ex2_system, maps=(ex2_system.maps_for(1), tuple(maps)))
+    family = initial_family(broken, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: fixed_point(broken, 16), lambda: apply_T(broken, family, 16)):
+            with pytest.raises(ValueError, match="^the maps of vertex 2 leave the float range$"):
+                solve()
+
+
+def test_apply_T_refuses_a_result_past_the_float_range(ex2_system):
+    # interior values alternate at +-1.5e308, so slopes overflow between
+    # nodes; the pullbacks of the knots hit the pinned ends, which stay finite
+    fns = []
+    for alpha in (1, 2):
+        ds = ex2_system.dataset(alpha)
+        grid = standard_grid(ds, 16)
+        values = np.where(np.arange(grid.size) % 2 == 1, 1.5e308, -1.5e308)
+        values[[0, -1]] = ds.fs[[0, -1]]
+        fns.append(SampledFunction(alpha, grid, values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
+            apply_T(ex2_system, FunctionFamily(tuple(fns)), 7)
 
 
 def test_non_convergence_matches_reference(ex1_system):
