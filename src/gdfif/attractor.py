@@ -69,11 +69,13 @@ def _check_clouds(system: GifsSystem, clouds):
     return clouds
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an image past the float range raises below
 def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
     """One set-valued step: each vertex becomes the union of its maps' images.
 
     The images are stored column-major, so each coordinate is one
-    contiguous run for the step that reads it next.
+    contiguous run for the step that reads it next. Raises ValueError
+    naming the vertex when an image leaves the float range.
     """
     clouds = _check_clouds(system, clouds)
     out = []
@@ -85,6 +87,8 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
         for m, pts in zip(maps, sources):
             transform_points(m, pts, out=images[lo:lo + len(pts)])
             lo += len(pts)
+        if not np.isfinite((images.min(), images.max())).all():
+            raise ValueError(f"the maps of vertex {alpha} leave the float range")
         out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1))
     return tuple(out)
 

@@ -3,10 +3,12 @@
 Configs are YAML (schema documented in the README); a setting flag replaces
 the config's value and is checked like it. `main` alone picks the exit
 code: 0 success, 1 validation violations, 2 structural, parse or range
-errors, clouds past their point budget and any check of the library that
-the data fails (a ValueError), 3 solver non-convergence, 141 a stdout
-pipe whose reader has closed. All emitted artifacts are deterministic:
-the same config run twice gives byte-identical files.
+errors, a path that cannot be read or written (an OSError), clouds past
+their point budget and any check of the library that the data fails (a
+ValueError), 3 solver non-convergence, 141 a stdout pipe whose reader has
+closed. All JSON is strict, with no NaN or infinity, and all emitted
+artifacts are deterministic: the same config run twice gives
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -97,7 +100,10 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{what}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer past the float range
+            raise ConfigError(f"{what}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
@@ -312,8 +318,13 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
     )
 
 
+def _json(obj) -> str:
+    """The CLI's one JSON form: strict, so that NaN or an infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
 def _emit_json(obj, stream=None) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
+    print(_json(obj), file=stream or sys.stdout)
 
 
 def cmd_validate(cfg: ProjectConfig, outdir: Path, args) -> int:
@@ -347,6 +358,8 @@ def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
 
 
 def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
+    if not math.isfinite(result.error_bound):
+        raise ValueError("error_bound = final_delta * r / (1 - r) is past the float range")
     per_vertex = []
     for alpha in range(1, system.n + 1):
         fn = result.family.get(alpha)
@@ -381,7 +394,7 @@ def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
         chaos = chaos_game(system, cfg.chaos_points, cfg.burn_in, cfg.seed)
     summary = None
     if args.command == "run":
-        summary = json.dumps(_summary(cfg, system, result, clouds), sort_keys=True, indent=2)
+        summary = _json(_summary(cfg, system, result, clouds))
     _emit_artifacts(cfg, outdir, result, clouds, chaos, summary)
     if summary is not None:
         print(summary)
@@ -437,7 +450,9 @@ def main(argv=None) -> int:
         except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
             _emit_json(asdict(exc.report))
             return 1
-        except (ConfigError, CloudBudgetError, ValueError) as exc:
+        except BrokenPipeError:
+            raise
+        except (ConfigError, CloudBudgetError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ConvergenceError as exc:

@@ -184,9 +184,10 @@ class _Transfer:
     as a sweep would round it: dg = g[j+1] - g[j], dt = t - g[j] (kept in
     place of t) and ct = c t. A pullback strictly between g[j] and g[j + 1]
     takes np.interp's formula (v[j+1] - v[j]) / dg * dt + v[j]; the few
-    that np.interp answers with a node value v[k] instead (an exact node
-    hit, t below the grid, or t at or past its end) take v[k] itself,
-    signed zero included. np.interp's retry of a NaN result, which only an
+    that np.interp answers with a node value instead (an exact node hit, t
+    below the grid, or t at or past its end) are marked where they are
+    located, with j at that node, and take v[j] itself, signed zero
+    included. np.interp's retry of a NaN result, which only an
     infinite source value can cause, is not reproduced. The gather runs in
     chunks of whole rows through reused buffers.
 
@@ -204,19 +205,26 @@ class _Transfer:
 
     def __init__(self, system: GifsSystem, resolution: int, sources=None):
         datasets = system.datasets
-        step = resolution - 1
         maps = np.array([m for v in system.table for m in v.maps])
         a, c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
         # the abscissas in C order, unlike the blocks, so that row slices are views
         x = np.concatenate([_blocks(ds, resolution) for ds in datasets],
                            out=np.empty((len(maps), resolution)))
+        # a repeated node would be a zero step, and a sweep would divide 0 by 0
+        narrow = ~(np.diff(x, axis=1) > 0).all(axis=1)
+        if narrow.any():
+            row = int(np.argmax(narrow))
+            alpha = int(np.searchsorted(firsts, row, side="right"))
+            raise ValueError(
+                f"interval {row - firsts[alpha - 1] + 1} of vertex {alpha} is too narrow to "
+                f"sample at resolution {resolution}: its grid repeats nodes")
         if sources is None:
             sources = [x[lo:hi].ravel() for lo, hi in zip(firsts[:-1], firsts[1:])]
         starts = np.cumsum([0] + [g.size for g in sources])
         j = np.empty(x.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)
         dg = np.empty(x.shape)
-        at, node = [], []
+        hit = np.empty(x.shape, dtype=bool)
         read_from = maps[:, 5].astype(int)
         per = max(1, self._CHUNK // resolution)
         # data near the float range may overflow here: each sweep reports it
@@ -234,31 +242,14 @@ class _Transfer:
                     np.clip(jb, 0, grid.size - 2, out=jb)
                     g0 = grid[jb]
                     # np.interp reads a node value below the grid, on a node and
-                    # at or past the grid's end: v[j], and v[j + 1] at or past it
+                    # at or past the grid's end: a hit, whose j is then that node
                     past = tb >= grid[-1]
-                    r, col = np.nonzero((g0 >= tb) | past)
+                    hit[rows] = (g0 >= tb) | past
                     dg[rows] = grid[jb + 1] - g0
                     t[rows] = tb - g0
-                    jb += starts[beta]
-                    j[rows] = jb
-                    at.append(rows[r] * resolution + col)
-                    node.append(jb[r, col] + past[r, col])
-        # a zero step, where a grid repeats nodes, would make a sweep divide 0 by 0
-        repeated = (dg == 0).any(axis=1)
-        if repeated.any():
-            row = int(np.argmax(repeated))
-            alpha = int(np.searchsorted(firsts, row, side="right"))
-            raise ValueError(
-                f"interval {row - firsts[alpha - 1] + 1} of vertex {alpha} reads repeated "
-                f"grid nodes of vertex {read_from[row] + 1} at resolution {resolution}: "
-                f"an interval is too narrow to sample at that resolution")
-        at, node = np.concatenate(at), np.concatenate(node)
-        order = np.argsort(at)
-        at, node = at[order], node[order]
-        chunks = range(0, len(maps), per)
-        cuts = np.searchsorted(at, np.append(chunks, len(maps)) * resolution)
-        self._chunks = [(slice(r0, r0 + per), at[lo:hi] - r0 * resolution, node[lo:hi])
-                        for r0, lo, hi in zip(chunks, cuts[:-1], cuts[1:])]
+                    j[rows] = jb + past + starts[beta]
+        self._chunks = [(slice(r0, r0 + per), np.flatnonzero(hit[r0:r0 + per]))
+                        for r0 in range(0, len(maps), per)]
         self._j, self._dg, self._dt, self._ct = j, dg, t, ct
         self._idx = np.empty(t[:per].size, dtype=np.intp)
         self._buf = np.empty((2, self._idx.size))
@@ -266,7 +257,7 @@ class _Transfer:
         self._knots = np.concatenate([np.column_stack((ds.fs[:-1], ds.fs[1:]))
                                       for ds in datasets])
         self._tol = np.array([1e-6 * (1.0 + float(np.max(np.abs(ds.fs)))) for ds in datasets])
-        self._step = step
+        self._step = resolution - 1
 
     def _in_float_range(self, finite: np.ndarray) -> None:
         """Raise ValueError naming the vertex of the first map whose `finite` is False."""
@@ -290,7 +281,7 @@ class _Transfer:
         after = values[1:]
         idx, (v0_buf, v1_buf) = self._idx, self._buf
         new = np.empty(self._ct.shape)
-        for rows, at, node in self._chunks:
+        for rows, hits in self._chunks:
             dt = self._dt[rows]
             n = dt.size
             j = idx[:n]
@@ -302,7 +293,7 @@ class _Transfer:
             s /= self._dg[rows].ravel()
             s *= dt.ravel()
             s += v0
-            s[at] = values[node]
+            s[hits] = v0[hits]
             # c t + d F(t) + f, rounded as the per-map formula (addition commutes)
             s = s.reshape(dt.shape)
             s *= self._d[rows]
@@ -440,7 +431,7 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     chain with depth left, takes the knot's ordinate: knots evaluate to
     their data ordinates at every depth, free of the round-off that further
     pullbacks would amplify. The walk reads the system's cached map table
-    (`GifsSystem.table`).
+    (`GifsSystem.table`). A value past the float range raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -473,4 +464,6 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
         value = fs[0] + (x - xs[0]) * (fs[-1] - fs[0]) / (xs[-1] - xs[0])
     for c, d, f, t in reversed(chain):
         value = c * t + d * value + f
+    if not math.isfinite(value):
+        raise ValueError(f"the maps of vertex {alpha} leave the float range")
     return value

@@ -8,6 +8,7 @@ the vertical flip between world and pixel coordinates happens only here.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,9 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
         pad = 0.5
         if lo - pad == hi + pad:  # past 2**53 a half no longer widens the range
             pad = 0.04 * abs(lo)
-    return (lo - pad, hi + pad)
+    # near the float range the pad would take an end to an infinity
+    big = sys.float_info.max
+    return (max(lo - pad, -big), min(hi + pad, big))
 
 
 class _Panel:
@@ -143,9 +146,15 @@ class _Panel:
         (x0, x1), (y0, y1) = self.x_range, self.y_range
         x, y = points[:, 0], points[:, 1]
         kept = np.flatnonzero((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
-        fx = (x[kept] - x0) / (x1 - x0)
-        fy = (y[kept] - y0) / (y1 - y0)
-        return kept, self.px0 + fx * self.pw, self.py0 + (1.0 - fy) * self.ph
+        return (kept, self.px0 + _fraction(x[kept], x0, x1) * self.pw,
+                self.py0 + (1.0 - _fraction(y[kept], y0, y1)) * self.ph)
+
+
+def _fraction(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(v - lo) / (hi - lo), all halved first where hi - lo overflows."""
+    if hi - lo > sys.float_info.max:
+        v, lo, hi = v * 0.5, lo * 0.5, hi * 0.5
+    return (v - lo) / (hi - lo)
 
 
 def _layout(content, spec: PlotSpec):

@@ -6,6 +6,9 @@ import pytest
 from gdfif import (
     AttractorCloud,
     CloudBudgetError,
+    DataSet,
+    WiringPlan,
+    build_system,
     chaos_game,
     data_clouds,
     directed_hausdorff,
@@ -23,6 +26,15 @@ def test_data_clouds_start_from_data_points(ex2_system):
         assert cloud.vertex == alpha
         assert cloud.generation == 0
         assert np.array_equal(cloud.points, np.array(ex2_system.dataset(alpha).points))
+
+
+def test_an_image_past_the_float_range_raises_naming_the_vertex():
+    # The curve peaks above 1.7e308: the second generation's images overflow.
+    system = build_system([DataSet(((0.0, 1e308), (0.5, 1.7e308), (1.0, 1e308)))],
+                          WiringPlan.from_pairs([[(1, 0.5)] * 2]))
+    clouds = hutchinson_step(system, data_clouds(system))
+    with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
+        hutchinson_step(system, clouds)
 
 
 def test_hutchinson_step_endpoint_cloud(ex1_system):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -472,8 +473,12 @@ A_UNDERFLOWS = {"datasets": [{"points": [[0, 0], [1e-323, 1], [2e-323, 0]]},
 REPEATED_NODES = {"datasets": [{"points": [[1, 0], [1.0000000000000002, 1], [2, 0], [3, 1]]}],
                   "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}],
                   "solver": {"resolution": 64}}
-REPEATED_NODES_ERROR = ("interval 2 of vertex 1 reads repeated grid nodes of vertex 1 at "
-                        "resolution 64: an interval is too narrow to sample at that resolution")
+REPEATED_NODES_ERROR = ("interval 1 of vertex 1 is too narrow to sample at resolution 64: "
+                        "its grid repeats nodes")
+# Interval 2 is one ulp wide, and no pullback lands between its repeated nodes.
+UNREAD_REPEATED_NODES = {"datasets": [{"points": [[0, 0], [1, 1], [1.0000000000000002, 0],
+                                                  [3, 1]]}],
+                         "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}]}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -485,7 +490,10 @@ REPEATED_NODES_ERROR = ("interval 2 of vertex 1 reads repeated grid nodes of ver
     # (900 - 40 * 23) / 22 < 0: no room for a panel on the 900-px canvas
     (_panels(22), "canvas too small for the requested panel count"),
     (REPEATED_NODES, REPEATED_NODES_ERROR),
-], ids=["float-range", "chaos-vertex-left-empty", "22-panels", "repeated-grid-nodes"])
+    (UNREAD_REPEATED_NODES, "interval 2 of vertex 1 is too narrow to sample at resolution 64: "
+                            "its grid repeats nodes"),
+], ids=["float-range", "chaos-vertex-left-empty", "22-panels", "repeated-grid-nodes",
+        "unread-repeated-grid-nodes"])
 def test_a_check_the_data_fails_past_validate_is_one_error_line(tmp_path, capsys, config,
                                                                 message):
     cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
@@ -577,6 +585,80 @@ def test_a_one_valued_panel_past_2_53_renders_finite(tmp_path):
     assert header == f"P5 {spec.width} {spec.height} 255".encode()
     rows = np.flatnonzero((np.frombuffer(pixels, np.uint8).reshape(spec.height, -1) == 0).any(1))
     assert rows.tolist() == [spec.height // 2]  # the cloud, one level line mid-panel
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["negative", "positive"])
+def test_a_panel_at_the_float_range_edge_renders_finite(tmp_path, sign):
+    # Padding the y range took its outer end to an infinity: NaN coordinates
+    # and an IndexError below 0, every point on one line above it.
+    config = {"datasets": [{"points": [[0, sign * 1.78e308], [0.5, sign * 1.2e308],
+                                       [1, sign * 1.78e308]]}],
+              "wiring": [{"intervals": [{"source": 1, "d": 0}] * 2}],
+              "attractor": {"dedup_tol": 0},
+              "outputs": {"svg": "a.svg", "pgm": "a.pgm"}}
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
+                       "--outdir", str(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    svg = (tmp_path / "a.svg").read_text()
+    assert "nan" not in svg
+    dot_ys = set(re.findall(r"M[-0-9.]+ ([-0-9.]+)h0", svg))
+    assert len(dot_ys) > 1
+
+
+@pytest.mark.parametrize("outputs", [None, {"csv": "F/c.csv"}], ids=["outdir", "output"])
+def test_a_path_that_cannot_be_written_is_one_error_line(tmp_path, outputs):
+    # F is a file, so neither it nor a path under it can be a directory
+    (tmp_path / "F").write_text("")
+    config = _bundled("example1", outputs=outputs or {"csv": "c.csv"})
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    outdir = tmp_path / "F" if outputs is None else tmp_path
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", "run", cfg,
+                       "--outdir", str(outdir), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("where, what", [("point", "dataset 1 point 1 y"),
+                                         ("tol", "solver.tol")], ids=["point", "tol"])
+def test_an_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, command, where,
+                                                           what):
+    config = _bundled("example1")
+    if where == "point":
+        config["datasets"][0]["points"][1][1] = 10**400
+    else:
+        config["solver"] = {"tol": 10**400}
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    assert main([command, cfg, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {what}: int too large to convert to float\n")
+
+
+# Every map's d is 1 - 2**-52: the value at x = 0.05 overflows.
+EVAL_PAST_THE_FLOAT_RANGE = {
+    "datasets": [{"points": [[0, 0], [1, 2.0e+307], [2, -2.0e+307], [3, 0]]}],
+    "wiring": [{"intervals": [{"source": 1, "d": 0.9999999999999998}] * 3}]}
+# r = 1 - 2**-52, so final_delta * r / (1 - r) overflows.
+ERROR_BOUND_PAST_THE_FLOAT_RANGE = {
+    "datasets": [{"points": [[0, 0], [1, 1.0e295], [2, -1.0e295], [3, 0]]}],
+    "wiring": [{"intervals": [{"source": 1, "d": d} for d in (0.9999999999999998, 0.5, 0.5)]}],
+    "solver": {"tol": 1.0e300}, "attractor": {"dedup_tol": 1.0e300},
+    "outputs": {"csv": "c.csv", "summary": "s.json"}}
+
+
+@pytest.mark.parametrize("config, command, message", [
+    (EVAL_PAST_THE_FLOAT_RANGE, ["eval", "--x", "0.05"], FLOAT_RANGE_ERROR),
+    (ERROR_BOUND_PAST_THE_FLOAT_RANGE, ["run"],
+     "error_bound = final_delta * r / (1 - r) is past the float range"),
+], ids=["eval", "run"])
+def test_an_infinity_never_reaches_stdout(tmp_path, config, command, message):
+    # both printed Infinity, which is not JSON, and exited 0
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    out = tmp_path / "out"
+    proc = _run_python("-X", "dev", "-W", "error", "-m", "gdfif", command[0], cfg, *command[1:],
+                       "--outdir", str(out), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()  # the run fails before it writes an artifact
 
 
 def test_import_does_not_load_scipy(tmp_path):

@@ -74,6 +74,15 @@ def test_initial_family_refuses_a_grid_that_repeats_nodes():
         initial_family(system, 64)
 
 
+def test_apply_T_names_the_interval_whose_output_grid_repeats_nodes():
+    # interval 2 is one ulp wide; at resolution 2 the grids are the knots alone
+    ds = DataSet(((0.0, 0.0), (1.0, 1.0), (1.0000000000000002, 0.0), (3.0, 1.0)))
+    system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 3]))
+    with pytest.raises(ValueError, match="^interval 2 of vertex 1 is too narrow to sample at "
+                                         "resolution 64: its grid repeats nodes$"):
+        apply_T(system, initial_family(system, 2), 64)
+
+
 def test_sup_distance_basics():
     a = SampledFunction(1, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     b = SampledFunction(1, np.array([0.0, 1.0]), np.array([1.0, 1.0]))

@@ -6,8 +6,10 @@ scaled from 1e-300 to 1e300, |d| from 0 to 1 - 2**-52, intervals one ulp
 wide, resolutions 2-64, extreme `tol` and `dedup_tol`, and the overflow
 shape of tests/test_cli.py (ordinates Y, -Y over an interval 1e-8 wide).
 Each config goes through `gdfif run` and `gdfif eval` in-process with
-every warning an error. Whatever the config, the run must end in one of
-the documented exits, in the documented form, with nothing else on stderr.
+every warning an error. A second family, on its own seeds, puts every
+ordinate within a factor of 2 of the largest float and also runs
+`gdfif render`. Whatever the config, the run must end in one of the
+documented exits, in the documented form, with nothing else on stderr.
 """
 
 import warnings
@@ -23,6 +25,9 @@ CONFIGS_PER_SEED = 30
 TOLS = (5e-324, 1e-300, 1e-12, 1e-9, 1e-3, 1.0, 1e300)
 DEDUP_TOLS = (0.0, 5e-324, 1e-300, 1e-9, 1e-3, 1.0, 1e300)
 POINT_CAP = 4000  # keeps each run to milliseconds
+EDGE_SEEDS = (18, 115, 124, 195)
+EDGE_CONFIGS_PER_SEED = 20
+EDGE_DS = (0.0, 0.5, 1.0 - 2.0**-52)
 
 
 def random_points(rng, x0, span, scale_y):
@@ -50,6 +55,15 @@ def overflow_shape(rng) -> dict:
             "wiring": [{"intervals": [{"source": 1, "d": 0.5}] * 3}]}
 
 
+def capped_generations(rng, config) -> int:
+    """1-4 generations, fewer where the cloud would pass POINT_CAP points."""
+    maps = sum(len(p["points"]) - 1 for p in config["datasets"])
+    generations = int(rng.integers(1, 5))
+    while generations > 1 and maps ** generations > POINT_CAP:
+        generations -= 1
+    return generations
+
+
 def random_config(rng) -> dict:
     if rng.random() < 0.15:
         config = overflow_shape(rng)
@@ -68,10 +82,7 @@ def random_config(rng) -> dict:
             "wiring": [{"intervals": [{"source": int(rng.integers(1, n + 1)), "d": random_d(rng)}
                                       for _ in range(len(p) - 1)]} for p in points],
         }
-    maps = sum(len(p["points"]) - 1 for p in config["datasets"])
-    generations = int(rng.integers(1, 5))
-    while generations > 1 and maps ** generations > POINT_CAP:
-        generations -= 1
+    generations = capped_generations(rng, config)
     config["solver"] = {"resolution": int(rng.integers(2, 65)),
                         "tol": float(rng.choice(TOLS)),
                         "max_iters": int(rng.integers(1, 201))}
@@ -83,13 +94,47 @@ def random_config(rng) -> dict:
     return config
 
 
+def edge_config(rng) -> dict:
+    """1-2 vertices of 3-5 points over [0, 1], ordinates within a factor of 2 of +-1.8e308.
+
+    Most configs keep one sign of ordinate, and each keeps one sign of d in
+    {0, +-0.5, +-(1 - 2**-52)}, so that more maps stay in the float range.
+    """
+    n = int(rng.integers(1, 3))
+    sign = float(rng.choice([-1.0, 1.0])) if rng.random() < 0.75 else None
+    d_sign = float(rng.choice([-1.0, 1.0]))
+    points = []
+    for _ in range(n):
+        k = int(rng.integers(3, 6))
+        xs = np.cumsum(rng.uniform(0.4, 1.6, k))
+        xs = (xs - xs[0]) / (xs[-1] - xs[0])
+        signs = rng.choice([-1.0, 1.0], k) if sign is None else sign
+        ys = signs * rng.uniform(0.5, 1.0, k) * np.finfo(float).max
+        points.append([[float(x), float(y)] for x, y in zip(xs, ys)])
+    config = {
+        "datasets": [{"points": p} for p in points],
+        "wiring": [{"intervals": [{"source": int(rng.integers(1, n + 1)),
+                                   "d": d_sign * float(rng.choice(EDGE_DS))}
+                                  for _ in range(len(p) - 1)]} for p in points],
+    }
+    config["solver"] = {"resolution": int(rng.integers(2, 65)),
+                        "tol": float(rng.choice([1e-9, 1e300]))}
+    config["attractor"] = {"generations": capped_generations(rng, config),
+                           "dedup_tol": float(rng.choice([0.0, 1e-3, 1e300]))}
+    config["outputs"] = {"csv": "f.csv", "cloud_csv": "c.csv", "svg": "a.svg", "pgm": "a.pgm",
+                         "summary": "s.json"}
+    return config
+
+
 def check_exit(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3)
-    if code in (0, 1):
+    if code == 0 and argv[0] == "render":
+        assert (out, err) == ("", "")
+    elif code in (0, 1):
         strict_finite_json(out)
         assert err == ""
     elif code == 2:
@@ -120,3 +165,25 @@ def test_every_config_ends_in_a_documented_exit(tmp_path, capsys):
                 raise
     # the draws reach every exit, so each form above is checked
     assert set(codes) == {0, 1, 2, 3}
+
+
+def test_configs_at_the_float_range_edge_end_in_a_documented_exit(tmp_path, capsys):
+    codes = []
+    for seed in EDGE_SEEDS:
+        rng = np.random.default_rng(seed)
+        for k in range(EDGE_CONFIGS_PER_SEED):
+            config = edge_config(rng)
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(yaml.safe_dump(config))
+            points = config["datasets"][0]["points"]
+            x = points[0][0] + float(rng.uniform(0.0, 1.0)) * (points[-1][0] - points[0][0])
+            try:
+                for command in ("run", "render"):
+                    codes.append(check_exit([command, str(cfg), "--outdir",
+                                             str(tmp_path / "out")], capsys))
+                check_exit(["eval", str(cfg), f"--x={x!r}"], capsys)
+            except BaseException:
+                print(f"seed {seed}, config {k}:\n{yaml.safe_dump(config)}")
+                raise
+    # the draws get past the solve, so the renderers see these ordinates
+    assert {0, 2} <= set(codes)
