@@ -54,7 +54,7 @@ from .model import (
     edge_counts,
     validate,
 )
-from .render import PlotSpec, export_csv, render_pgm, render_svg
+from .render import export_csv, render_pgm, render_svg
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "GifsSystem",
     "IntervalAssignment",
     "InvalidSystemError",
-    "PlotSpec",
     "STRICT_MODE",
     "SampledFunction",
     "USED_EDGES_MODE",

@@ -160,27 +160,30 @@ def _take_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+# The most points one generation may hold before deduplication.
+_MAX_POINTS = 10_000_000
+
+
 def iterate_attractor(
     system: GifsSystem,
     generations: int,
     dedup_tolerance: float,
-    max_points: int = 10_000_000,
 ) -> tuple[AttractorCloud, ...]:
     """Iterate the set-valued step from the data points.
 
     Clouds are deduplicated on a grid of size `dedup_tolerance` after each
     generation (pass 0 to disable). Before each step the undeduplicated size
     of the next generation is predicted from the wiring; if it exceeds
-    `max_points` a CloudBudgetError is raised instead of allocating it.
+    `_MAX_POINTS` a CloudBudgetError is raised instead of allocating it.
     """
     if generations < 1:
         raise ValueError("generations must be at least 1")
     clouds = data_clouds(system)
     for _ in range(generations):
         predicted = sum(len(clouds[m.source_vertex - 1]) for row in system.maps for m in row)
-        if predicted > max_points:
+        if predicted > _MAX_POINTS:
             raise CloudBudgetError(
-                f"next generation would hold {predicted} points, cap is {max_points}; "
+                f"next generation would hold {predicted} points, cap is {_MAX_POINTS}; "
                 f"use fewer generations or a larger dedup_tol"
             )
         clouds = hutchinson_step(system, clouds)
@@ -213,7 +216,7 @@ def chaos_game(
     vertex's first `burn_in` emissions are discarded. Fully deterministic
     for a given seed: the picks are those of `integers(1, n + 1)` and then
     `integers(0, maps)` on `np.random.default_rng(seed)`, drawn in bulk from
-    the generator's raw words (see `_draws`).
+    the generator's 32-bit words (see `_draws`).
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
@@ -253,14 +256,15 @@ def _draws(seed: int, n: int, counts: list[int], steps: int):
     on `np.random.default_rng(seed)`.
 
     Every vertex has two or more maps, so each step reads the same number
-    of words: all of them are read at once and mapped by `_lemire`. If a
-    word would be rejected, the steps are drawn again one `integers` call
-    at a time from a fresh generator.
+    of words: all of them are read at once, by `integers(0, 2**32)`, which
+    returns the words unchanged, and mapped by `_lemire`. If a word would
+    be rejected, the steps are drawn again one `integers` call at a time
+    from a fresh generator.
     """
     offsets = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
     per_step = 1 + (n > 1)
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-steps * per_step // 2))
-    step_words = _split(raw)[:steps * per_step].reshape(steps, per_step)
+    words = np.random.default_rng(seed).integers(0, _WORD, steps * per_step, dtype=np.uint64)
+    step_words = words.reshape(steps, per_step)
     vertex, fits = np.zeros(steps, dtype=np.int64), True
     if n > 1:
         vertex, fits = _lemire(step_words[:, 0], n)
@@ -289,14 +293,6 @@ def _lemire(words, span):
     m = words * span
     threshold = (np.uint64(_WORD) - span) % span
     return (m >> np.uint64(32)).astype(np.int64), not np.any(m & np.uint64(_WORD - 1) < threshold)
-
-
-def _split(raw: np.ndarray) -> np.ndarray:
-    """PCG64's 64-bit outputs as 32-bit words (in uint64), low half first."""
-    words = np.empty(2 * len(raw), dtype=np.uint64)
-    words[0::2] = raw & np.uint64(_WORD - 1)
-    words[1::2] = raw >> np.uint64(32)
-    return words
 
 
 # Window steps double the candidates scanned per side: 1, 2, 4, ...  A point

@@ -4,11 +4,11 @@ Configs are YAML (schema documented in the README); a setting flag replaces
 the config's value and is checked like it. `main` alone picks the exit
 code: 0 success, 1 validation violations, 2 structural, parse or range
 errors, a path that cannot be read or written (an OSError), clouds past
-their point budget and any check of the library that the data fails (a
-ValueError), 3 solver non-convergence, 141 a stdout pipe whose reader has
-closed. All JSON is strict, with no NaN or infinity, and all emitted
-artifacts are deterministic: the same config run twice gives
-byte-identical files.
+their point budget, any check of the library that the data fails (a
+ValueError) and a run out of memory (a MemoryError), 3 solver
+non-convergence, 141 a stdout pipe whose reader has closed. All JSON is
+strict, with no NaN or infinity, and all emitted artifacts are
+deterministic: the same config run twice gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .attractor import CloudBudgetError, chaos_game, hausdorff_distance, iterate
 from .funcspace import ConvergenceError, _knot_residual, evaluate_exact, fixed_point
 from .maps import InvalidSystemError, build_system
 from .model import CONDITION3_MODES, STRICT_MODE, DataSet, WiringPlan, validate
-from .render import PlotSpec, export_csv, render_pgm, render_svg
+from .render import export_csv, render_pgm, render_svg
 
 OUTDIR_ENV = "GDFIF_OUTDIR"
 CONFIG_KEYS = ("name", "datasets", "wiring", "solver", "attractor",
@@ -335,7 +335,6 @@ def cmd_validate(cfg: ProjectConfig, outdir: Path, args) -> int:
 
 def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
                     summary: str | None) -> None:
-    spec = PlotSpec()
     for key, rel in cfg.outputs:
         if key == "summary" and summary is None:
             continue
@@ -348,10 +347,9 @@ def _emit_artifacts(cfg: ProjectConfig, outdir: Path, result, clouds, chaos,
         elif key == "chaos_csv":
             export_csv(target, clouds=chaos)
         elif key == "svg":
-            render_svg(target, spec, datasets=cfg.datasets, family=result.family,
-                       clouds=clouds)
+            render_svg(target, datasets=cfg.datasets, family=result.family, clouds=clouds)
         elif key == "pgm":
-            render_pgm(target, spec, clouds=clouds)
+            render_pgm(target, clouds=clouds)
         elif key == "summary":
             with open(target, "w", newline="\n") as fh:
                 fh.write(summary + "\n")
@@ -454,6 +452,9 @@ def main(argv=None) -> int:
             raise
         except (ConfigError, CloudBudgetError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"error: the run ran out of memory: {exc}", file=sys.stderr)
             return 2
         except ConvergenceError as exc:
             _emit_json({

@@ -1,7 +1,7 @@
 """The array kernels for the attractor and export against the code they replaced.
 
-The reference functions below are the earlier implementations, kept
-verbatim as oracles (the Hausdorff reference is plain brute force). The
+The reference functions below are the earlier scalar implementations,
+kept as oracles (the Hausdorff reference is plain brute force). The
 arithmetic is unchanged, so results must be equal array for array and byte
 for byte, on inputs chosen to hit every boundary: range ends, exact .5
 pixel coordinates, clamped rows and columns, dedup cell boundaries and key
@@ -30,7 +30,6 @@ from gdfif import (
     AttractorCloud,
     DataSet,
     GifsSystem,
-    PlotSpec,
     WiringPlan,
     build_system,
     chaos_game,
@@ -43,7 +42,7 @@ from gdfif import (
     render_svg,
 )
 import gdfif
-from gdfif import attractor
+from gdfif import attractor, render
 from gdfif.attractor import (
     _dedup, _lemire, data_clouds, directed_hausdorff, hausdorff_distance,
 )
@@ -153,71 +152,54 @@ def export_csv_reference(path, family=None, clouds=None):
             fh.write(f"{vertex},{x:.17g},{y:.17g}\n")
 
 
-def _inside(panel, x, y):
-    return (panel.x_range[0] <= x <= panel.x_range[1]
-            and panel.y_range[0] <= y <= panel.y_range[1])
-
-
 def _to_px(panel, x, y):
     fx = (x - panel.x_range[0]) / (panel.x_range[1] - panel.x_range[0])
     fy = (y - panel.y_range[0]) / (panel.y_range[1] - panel.y_range[0])
     return panel.px0 + fx * panel.pw, panel.py0 + (1.0 - fy) * panel.ph
 
 
-def render_pgm_reference(path, spec, clouds):
+def render_pgm_reference(path, clouds):
+    width, height = render._WIDTH, render._HEIGHT
     content = _content_by_vertex(None, None, clouds)
-    panels = _layout(content, spec)
-    img = np.full((spec.height, spec.width), 255, dtype=np.uint8)
+    panels = _layout(content)
+    img = np.full((height, width), 255, dtype=np.uint8)
     for alpha, entry in content.items():
         panel = panels[alpha]
         for x, y in entry["cloud"]:
-            if not _inside(panel, x, y):
-                continue
             px, py = _to_px(panel, x, y)
-            col = min(max(int(round(px)), 0), spec.width - 1)
-            row = min(max(int(round(py)), 0), spec.height - 1)
+            col = min(max(int(round(px)), 0), width - 1)
+            row = min(max(int(round(py)), 0), height - 1)
             img[row, col] = 0
     with open(path, "wb") as fh:
-        fh.write(f"P5 {spec.width} {spec.height} 255\n".encode("ascii"))
+        fh.write(f"P5 {width} {height} 255\n".encode("ascii"))
         fh.write(img.tobytes())
 
 
 def _dot_paths_reference(points, panel, chunk_size=2000):
     moves = []
     for x, y in points:
-        if not _inside(panel, x, y):
-            continue
         px, py = _to_px(panel, x, y)
         moves.append(f"M{px:.2f} {py:.2f}h0")
     for lo in range(0, len(moves), chunk_size):
         yield "".join(moves[lo:lo + chunk_size])
 
 
-def _polyline_runs_reference(curve, panel):
-    grid, values = curve
-    run = []
-    for x, y in zip(grid, values):
-        if _inside(panel, x, y):
-            px, py = _to_px(panel, x, y)
-            run.append(f"{px:.3f},{py:.3f}")
-        elif run:
-            yield " ".join(run)
-            run = []
-    if run:
-        yield " ".join(run)
+def _polyline_reference(curve, panel):
+    return " ".join("{:.3f},{:.3f}".format(*_to_px(panel, x, y)) for x, y in zip(*curve))
 
 
-def render_svg_reference(path, spec, datasets=None, family=None, clouds=None):
+def render_svg_reference(path, datasets=None, family=None, clouds=None):
+    width, height, radius = render._WIDTH, render._HEIGHT, render._POINT_RADIUS
     content = _content_by_vertex(datasets, family, clouds)
-    panels = _layout(content, spec)
+    panels = _layout(content)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for alpha, entry in content.items():
         panel = panels[alpha]
-        color = spec.color(alpha)
+        color = render.PALETTE[(alpha - 1) % len(render.PALETTE)]
         parts.append(
             f'<rect x="{panel.px0:.3f}" y="{panel.py0:.3f}" width="{panel.pw:.3f}" '
             f'height="{panel.ph:.3f}" fill="none" stroke="#cccccc"/>'
@@ -226,23 +208,20 @@ def render_svg_reference(path, spec, datasets=None, family=None, clouds=None):
             for chunk in _dot_paths_reference(entry["cloud"], panel):
                 parts.append(
                     f'<path d="{chunk}" stroke="{color}" stroke-opacity="0.55" '
-                    f'stroke-width="{spec.point_radius * 0.6:.3f}" '
+                    f'stroke-width="{radius * 0.6:.3f}" '
                     f'stroke-linecap="round" fill="none"/>'
                 )
         if entry["curve"] is not None:
-            for run in _polyline_runs_reference(entry["curve"], panel):
-                parts.append(
-                    f'<polyline points="{run}" fill="none" stroke="{color}" '
-                    f'stroke-width="1.4"/>'
-                )
+            parts.append(
+                f'<polyline points="{_polyline_reference(entry["curve"], panel)}" '
+                f'fill="none" stroke="{color}" stroke-width="1.4"/>'
+            )
         if entry["data"] is not None:
             for x, y in entry["data"]:
-                if not _inside(panel, x, y):
-                    continue
                 px, py = _to_px(panel, x, y)
                 parts.append(
                     f'<circle class="knot" cx="{px:.3f}" cy="{py:.3f}" '
-                    f'r="{spec.point_radius:.3f}" fill="none" stroke="#222222" '
+                    f'r="{radius:.3f}" fill="none" stroke="#222222" '
                     f'stroke-width="1.2"/>'
                 )
     parts.append("</svg>")
@@ -251,9 +230,17 @@ def render_svg_reference(path, spec, datasets=None, family=None, clouds=None):
         fh.write("\n")
 
 
-# On a 64 x 64 canvas without margin and with ranges (0, 64), world and pixel
-# coordinates coincide exactly (py = 64 - y), so .5 coordinates stay .5.
-EXACT = PlotSpec(width=64, height=64, margin=0, x_range=(0.0, 64.0), y_range=(0.0, 64.0))
+# Canvases as the render attributes to patch: {} is the one canvas the
+# renderers draw. On a 64 x 64 canvas without margin, with panel ranges
+# (0, 64), world and pixel coordinates coincide exactly (py = 64 - y), so
+# .5 coordinates stay .5.
+EXACT = {"_WIDTH": 64, "_HEIGHT": 64, "_MARGIN": 0,
+         "_panel_range": lambda alpha, entry: ((0.0, 64.0), (0.0, 64.0))}
+
+
+def _use_canvas(monkeypatch, spec):
+    for name, value in spec.items():
+        monkeypatch.setattr(render, name, value)
 
 
 def _edge_points(rng):
@@ -515,15 +502,17 @@ def test_hausdorff_adversarial_cases(rng):
         assert_hausdorff_matches_reference(p, q)
 
 
-@pytest.mark.parametrize("spec", [EXACT, PlotSpec(width=300, height=200, margin=7), PlotSpec()])
-def test_render_pgm_matches_scalar_reference(spec, edge_clouds, tmp_path):
-    render_pgm(tmp_path / "new.pgm", spec, clouds=edge_clouds)
-    render_pgm_reference(tmp_path / "ref.pgm", spec, edge_clouds)
+@pytest.mark.parametrize("spec", [EXACT, {"_WIDTH": 300, "_HEIGHT": 200, "_MARGIN": 7}, {}])
+def test_render_pgm_matches_scalar_reference(spec, edge_clouds, tmp_path, monkeypatch):
+    _use_canvas(monkeypatch, spec)
+    render_pgm(tmp_path / "new.pgm", clouds=edge_clouds)
+    render_pgm_reference(tmp_path / "ref.pgm", edge_clouds)
     assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
-def test_exact_spec_clamps_to_the_last_row_and_column(edge_clouds, tmp_path):
-    render_pgm(tmp_path / "a.pgm", EXACT, clouds=edge_clouds[:1])
+def test_exact_spec_clamps_to_the_last_row_and_column(edge_clouds, tmp_path, monkeypatch):
+    _use_canvas(monkeypatch, EXACT)
+    render_pgm(tmp_path / "a.pgm", clouds=edge_clouds[:1])
     img = np.frombuffer((tmp_path / "a.pgm").read_bytes().split(b"\n", 1)[1], dtype=np.uint8)
     img = img.reshape(64, 64)
     assert img[0, 63] == 0  # (64, 64) clamps to column width-1 and lands on row 0
@@ -532,10 +521,12 @@ def test_exact_spec_clamps_to_the_last_row_and_column(edge_clouds, tmp_path):
 
 @pytest.mark.parametrize("spec", [
     EXACT,
-    PlotSpec(width=640, height=160, margin=10, x_range=(0.0, 4.0), y_range=(1.5, 4.5)),
-    PlotSpec(),
+    {"_WIDTH": 640, "_HEIGHT": 160, "_MARGIN": 10,
+     "_panel_range": lambda alpha, entry: ((0.0, 4.0), (1.5, 4.5))},
+    {},
 ])
-def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_path):
+def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_path,
+                                             monkeypatch):
     family = fixed_point(ex2_system, 64, 1e-9, 200).family
     datasets = [DataSet(((0.0, 0.0), (64.0, 64.0), (32.0, np.nextafter(64.0, 65.0)), (4.0, 1.5))),
                 ex2_system.dataset(2)]
@@ -544,9 +535,10 @@ def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_
         dict(family=family),
         dict(clouds=edge_clouds[1:] + edge_clouds[:1]),
     ]
+    _use_canvas(monkeypatch, spec)
     for k, scene in enumerate(scenes):
-        render_svg(tmp_path / f"new{k}.svg", spec, **scene)
-        render_svg_reference(tmp_path / f"ref{k}.svg", spec, **scene)
+        render_svg(tmp_path / f"new{k}.svg", **scene)
+        render_svg_reference(tmp_path / f"ref{k}.svg", **scene)
         assert (tmp_path / f"new{k}.svg").read_bytes() == (tmp_path / f"ref{k}.svg").read_bytes()
 
 
@@ -680,23 +672,10 @@ def test_chaos_game_matches_loop_reference(name):
 
 def test_chaos_game_replays_the_drawn_words_after_a_rejection(monkeypatch):
     # A rejected word sends every step to the `integers` calls on a fresh
-    # generator, which must walk the same steps. Word 0 is rejected for a
-    # span of 3, so zeroing the three-vertex system's vertex words in the
-    # batch makes _lemire report a rejection; the steps the fallback walks
-    # are those of the generator's own words.
-    split = attractor._split
-
-    def zero_vertex_words(raw):
-        words = split(raw)
-        words[0::2] = 0
-        return words
-
-    monkeypatch.setattr(attractor, "_split", zero_vertex_words)
-    assert_same_chaos(_three_vertex_system(), 2000, 0, 11)
-    monkeypatch.undo()
-    # Forcing the batch to report a rejection does the same on any system.
+    # generator, which must walk the same steps as the batch would have.
     lemire = attractor._lemire
     monkeypatch.setattr(attractor, "_lemire", lambda words, span: (lemire(words, span)[0], False))
+    assert_same_chaos(_three_vertex_system(), 2000, 0, 11)
     for name in ("example1", "example2"):
         system = bundled_system(name)[1]
         assert_same_chaos(system, 1001, 10, 5)

@@ -17,6 +17,7 @@ from gdfif import (
     hutchinson_step,
     iterate_attractor,
 )
+from gdfif import attractor
 
 
 def test_data_clouds_start_from_data_points(ex2_system):
@@ -109,9 +110,10 @@ def test_iterate_attractor_dedup_spacing(ex1_system):
     assert np.unique(keys, axis=0).shape[0] == keys.shape[0]
 
 
-def test_iterate_attractor_budget_guard(ex1_system):
-    with pytest.raises(CloudBudgetError, match="fewer generations or a larger dedup_tol"):
-        iterate_attractor(ex1_system, 20, 1e-9, max_points=10_000)
+def test_iterate_attractor_budget_guard(ex1_system, monkeypatch):
+    monkeypatch.setattr(attractor, "_MAX_POINTS", 10_000)
+    with pytest.raises(CloudBudgetError, match="cap is 10000; use fewer generations or a larger"):
+        iterate_attractor(ex1_system, 20, 1e-9)
 
 
 def test_chaos_game_flat(flat_system):

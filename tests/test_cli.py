@@ -1,6 +1,7 @@
 """Config parsing, subcommands, exit codes, and pipeline determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 import yaml
 
 import gdfif
-from gdfif import CONDITION3_MODES, STRICT_MODE, PlotSpec, validate
+from gdfif import CONDITION3_MODES, STRICT_MODE, validate
+from gdfif.render import _HEIGHT, _WIDTH
 from gdfif.cli import (
     OUTPUT_KEYS,
     SETTINGS,
@@ -580,11 +582,10 @@ def test_a_one_valued_panel_past_2_53_renders_finite(tmp_path):
     svg = (tmp_path / "flat.svg").read_text()
     assert "nan" not in svg and "inf" not in svg
     assert svg.count('class="knot"') == 3 and "<polyline" in svg and "<path" in svg
-    spec = PlotSpec()
     header, pixels = (tmp_path / "flat.pgm").read_bytes().split(b"\n", 1)
-    assert header == f"P5 {spec.width} {spec.height} 255".encode()
-    rows = np.flatnonzero((np.frombuffer(pixels, np.uint8).reshape(spec.height, -1) == 0).any(1))
-    assert rows.tolist() == [spec.height // 2]  # the cloud, one level line mid-panel
+    assert header == f"P5 {_WIDTH} {_HEIGHT} 255".encode()
+    rows = np.flatnonzero((np.frombuffer(pixels, np.uint8).reshape(_HEIGHT, -1) == 0).any(1))
+    assert rows.tolist() == [_HEIGHT // 2]  # the cloud, one level line mid-panel
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["negative", "positive"])
@@ -632,6 +633,22 @@ def test_an_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, com
     cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
     assert main([command, cfg, "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {what}: int too large to convert to float\n")
+
+
+@pytest.mark.parametrize("stage, flag", [("fixed_point", "--resolution"),
+                                         ("chaos_game", "--chaos-points")])
+def test_a_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, stage, flag):
+    # NumPy's MemoryError, at 2**40 samples or chaos points, ended in a
+    # traceback and exit 1. It is raised here, never allocated.
+    text = ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+            "and data type float64")
+
+    def out_of_memory(*args):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(gdfif.cli, stage, out_of_memory)
+    assert main(["run", "example1", flag, str(2**40), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: the run ran out of memory: {text}\n")
 
 
 # Every map's d is 1 - 2**-52: the value at x = 0.05 overflows.
@@ -998,3 +1015,17 @@ def test_readme_config_block_loads(tmp_path):
     assert cfg.name == "demo"
     assert cfg.plan.n == len(cfg.datasets) == 2
     assert [key for key, _ in cfg.outputs] == list(OUTPUT_KEYS)
+
+
+def test_readme_library_table_names_only_what_each_module_has():
+    # Names in parentheses are fields of the name before them; `gdfif` in
+    # the cli row is the console script.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert len(rows) == 6
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", contents))
+        missing = [name for name in names if name != "gdfif" and not hasattr(module, name)]
+        assert missing == [], module.__name__

@@ -1,12 +1,13 @@
 """Artifact emission: CSV, SVG, PGM. Everything must be byte-deterministic."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gdfif import (
     AttractorCloud,
     DataSet,
-    PlotSpec,
     export_csv,
     fixed_point,
     iterate_attractor,
@@ -93,18 +94,6 @@ def test_render_svg_deterministic(ex2_system, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_render_svg_clips_to_explicit_ranges(tmp_path):
-    pts = np.array([
-        [0.1, 0.1], [0.5, 0.5], [0.9, 0.2],   # inside
-        [5.0, 0.5], [0.5, -3.0],              # outside
-    ])
-    cloud = AttractorCloud(1, pts, 1)
-    spec = PlotSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0))
-    out = tmp_path / "clip.svg"
-    render_svg(out, spec, clouds=(cloud,))
-    assert out.read_text().count("h0") == 3
-
-
 def test_render_svg_needs_input(tmp_path):
     with pytest.raises(ValueError):
         render_svg(tmp_path / "none.svg")
@@ -145,19 +134,8 @@ def test_render_pgm_deterministic(ex1_system, tmp_path):
 def test_render_pgm_dimensions(flat_system, tmp_path):
     clouds = iterate_attractor(flat_system, 4, 1e-3)
     out = tmp_path / "dims.pgm"
-    render_pgm(out, PlotSpec(width=200, height=120), clouds=clouds)
-    assert read_pgm(out).shape == (120, 200)
-
-
-def test_plot_spec_validation():
-    with pytest.raises(ValueError):
-        PlotSpec(width=0)
-    with pytest.raises(ValueError):
-        PlotSpec(margin=-1)
-    with pytest.raises(ValueError):
-        PlotSpec(y_range=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        PlotSpec(point_radius=0.0)
+    render_pgm(out, clouds=clouds)
+    assert read_pgm(out).shape == (600, 900)
 
 
 def test_rendering_does_not_mutate_inputs(ex1_system, tmp_path):
@@ -167,3 +145,28 @@ def test_rendering_does_not_mutate_inputs(ex1_system, tmp_path):
     render_pgm(tmp_path / "m.pgm", clouds=clouds)
     export_csv(tmp_path / "m.csv", clouds=clouds)
     assert np.array_equal(clouds[0].points, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1], ids=["x", "y"])
+def test_content_that_is_not_finite_is_refused(bad, column, tmp_path):
+    # Neither renderer raised: a NaN made the panel's range NaN and every
+    # point was clipped away, the finite ones too; an infinity was clipped
+    # and the finite points were crowded onto one column.
+    finite = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
+    pts = finite.copy()
+    pts[1, column] = bad
+    good_cloud = AttractorCloud(1, finite, 0)
+    bad_cloud = AttractorCloud(1, pts, 0)
+    # A stand-in for a SampledFunction, whose grid could hold no NaN.
+    curve = SimpleNamespace(vertex=1, grid=pts[:, 0], values=pts[:, 1])
+    scenes = [dict(clouds=(bad_cloud,)),
+              dict(family=(curve,), clouds=(good_cloud,)),
+              dict(datasets=(DataSet(tuple(map(tuple, pts))),), clouds=(good_cloud,))]
+    for k, scene in enumerate(scenes):
+        with pytest.raises(ValueError, match="vertex 1: cannot draw a coordinate that is not "):
+            render_svg(tmp_path / f"{k}.svg", **scene)
+        assert not (tmp_path / f"{k}.svg").exists()
+    with pytest.raises(ValueError, match="vertex 1: cannot draw a coordinate that is not "):
+        render_pgm(tmp_path / "cloud.pgm", clouds=(bad_cloud,))
+    assert not (tmp_path / "cloud.pgm").exists()
