@@ -35,19 +35,25 @@ OUTDIR_ENV = "GDFIF_OUTDIR"
 CONFIG_KEYS = ("name", "datasets", "wiring", "solver", "attractor",
                "condition3_mode", "outputs", "outdir")
 OUTPUT_KEYS = ("csv", "cloud_csv", "chaos_csv", "svg", "pgm", "summary")
-# (section, key, flag type, default, least allowed value) of every solver and
-# attractor setting: the table gives each section's allowed keys, the flags
-# (max_iters -> --max-iters), and each value's default and inclusive lower
-# bound. 5e-324 is the least positive float, so `tol` must be positive.
+# The most a count that sizes arrays may be. One row of 2**40 floats is 8 TiB,
+# so a larger count could not run, and a smaller one that does not fit in
+# memory is a MemoryError. Below the bound, NumPy's own limit (2**63 bytes an
+# array) is reached only by 2**20 or more maps at resolution 2**40.
+_MOST_COUNT = 2**40
+# (section, key, flag type, default, least allowed value, most allowed value
+# or None) of every solver and attractor setting: the table gives each
+# section's allowed keys, the flags (max_iters -> --max-iters), and each
+# value's default and inclusive bounds. 5e-324 is the least positive float,
+# so `tol` must be positive.
 SETTINGS = (
-    ("solver", "resolution", int, 64, 2),
-    ("solver", "tol", float, 1e-9, 5e-324),
-    ("solver", "max_iters", int, 200, 1),
-    ("attractor", "generations", int, 12, 1),
-    ("attractor", "dedup_tol", float, 1e-3, 0.0),
-    ("attractor", "chaos_points", int, 0, 0),
-    ("attractor", "burn_in", int, 100, 0),
-    ("attractor", "seed", int, 7, 0),
+    ("solver", "resolution", int, 64, 2, _MOST_COUNT),
+    ("solver", "tol", float, 1e-9, 5e-324, None),
+    ("solver", "max_iters", int, 200, 1, None),
+    ("attractor", "generations", int, 12, 1, None),
+    ("attractor", "dedup_tol", float, 1e-3, 0.0, None),
+    ("attractor", "chaos_points", int, 0, 0, _MOST_COUNT),
+    ("attractor", "burn_in", int, 100, 0, None),
+    ("attractor", "seed", int, 7, 0, None),
 )
 # Each wiring form lists items of these keys; an interval is a block of count 1.
 WIRING_FORMS = {"intervals": ("interval", ("source", "d")),
@@ -119,14 +125,17 @@ def _number(value, what: str) -> float:
     raise ConfigError(f"{what}: expected a number, got {type(value).__name__}")
 
 
-def _bounded(value, what: str, kind: type, least):
-    """An integer (kind int) or a number (kind float) no less than `least`."""
+def _bounded(value, what: str, kind: type, least, most=None):
+    """An integer (kind int) or a number (kind float) no less than `least`
+    and, unless `most` is None, no more than `most`."""
     if kind is float:
         value = _number(value, what)
     elif isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what}: expected an integer, got {value!r}")
     if not value >= least:
         raise ConfigError(f"{what} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{what} must be at most {most}")
     return value
 
 
@@ -233,7 +242,8 @@ def _parse_wiring(raw) -> WiringPlan:
         for i, item in enumerate(items, start=1):
             what = f"wiring {k} {noun} {i}"
             item = _mapping(item, what, keys)
-            count = _bounded(item.get("count"), f"{what} count", int, 1) if "count" in keys else 1
+            count = (_bounded(item.get("count"), f"{what} count", int, 1, _MOST_COUNT)
+                     if "count" in keys else 1)
             source = _bounded(item.get("source"), f"{what} source", int, 1)
             pairs.extend([(source, _number(item.get("d"), f"{what} d"))] * count)
         per_vertex.append(pairs)
@@ -291,8 +301,8 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
     sections = {s: _mapping(raw.get(s), f"section {s!r}", [k for t, k, *_ in SETTINGS if t == s])
                 for s in dict.fromkeys(row[0] for row in SETTINGS)}
     settings = {key: _bounded(flags.get(key, sections[s].get(key, default)), f"{s}.{key}",
-                              kind, least)
-                for s, key, kind, default, least in SETTINGS}
+                              kind, least, most)
+                for s, key, kind, default, least, most in SETTINGS}
 
     mode = flags.get("condition3_mode", raw.get("condition3_mode", STRICT_MODE))
     if mode not in CONDITION3_MODES:

@@ -24,6 +24,22 @@ _WIDTH, _HEIGHT, _MARGIN = 900, 600, 40
 _POINT_RADIUS = 3.0
 
 
+def _word_table(texts) -> np.ndarray:
+    """Four-byte ASCII texts as native uint32 words, which `tobytes` writes back."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
+
+
+# The digit tables of `_dot_paths`. A dot is five words: "M" and the sign of
+# x, the whole part of x and its ".", the cents of x, " " and the sign of y,
+# the whole part of y, the cents of y and "h0"; or, for a dot that `%` must
+# format, its template. NUL bytes pad them and are deleted from each path.
+_LEAD = _word_table(["M\0\0\0", "M-\0\0"])
+_WHOLE = _word_table([("%3d." % k).replace(" ", "\0") for k in range(1000)])
+_MID = _word_table(["%02d %s" % (k, sign) for sign in "\0-" for k in range(100)])
+_TAIL = _word_table(["%02dh0" % k for k in range(100)])
+_PERCENT = _word_table(["M%.2f %.2fh0" + "\0" * 8])
+
+
 def export_csv(path, family=None, clouds=None) -> None:
     """Write `vertex,x,y` rows with 17 significant digits, sorted by (vertex, x, y).
 
@@ -188,12 +204,32 @@ def render_svg(path, datasets=None, family=None, clouds=None) -> None:
 
 
 def _dot_paths(points, panel):
-    """Cloud dots as zero-length path segments, `_DOT_CHUNK` per path."""
-    px, py = panel.project(*points.T)
-    flat = np.column_stack((px, py)).ravel().tolist()
-    for lo in range(0, len(px), _DOT_CHUNK):
-        hi = min(lo + _DOT_CHUNK, len(px))
-        yield "M%.2f %.2fh0" * (hi - lo) % tuple(flat[2 * lo:2 * hi])
+    """Cloud dots as zero-length path segments, `_DOT_CHUNK` per path.
+
+    Each dot reads "M%.2f %.2fh0" % (px, py), byte for byte. A dot is
+    printed from the digit tables when, for both its coordinates v,
+    s = 100 |v| lies below 99999.5 and more than 1e-6 from a half-integer:
+    s is then within 2**-37 of the exact product, so `rint` gives the cents
+    that `%.2f` rounds to. Any other dot (a tie or near-tie, a coordinate
+    of 999.995 or more, a NaN or an infinity) is written as that `%`
+    template and formatted by `%` in place.
+    """
+    v = np.column_stack(panel.project(*points.T))
+    for lo in range(0, len(v), _DOT_CHUNK):
+        chunk = v[lo:lo + _DOT_CHUNK]
+        s = np.fmin(np.abs(chunk) * 100, 1e5)  # a NaN or an infinity reads 1e5
+        plain = (s < 99999.5) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
+        whole, cents = np.divmod(np.rint(s).astype(np.intp), 100)
+        minus = np.signbit(chunk)
+        words = np.empty((len(chunk), 5), dtype=np.uint32)
+        words[:, 0] = _LEAD.take(minus[:, 0])
+        words[:, 1::2] = _WHOLE.take(whole, mode="clip")  # past 999 only in a template dot
+        words[:, 2] = _MID.take(cents[:, 0] + 100 * minus[:, 1])
+        words[:, 4] = _TAIL.take(cents[:, 1])
+        other = ~(plain[:, 0] & plain[:, 1])
+        words[other] = _PERCENT
+        text = words.tobytes().translate(None, b"\0").decode("ascii")
+        yield text % tuple(chunk[other].ravel().tolist())
 
 
 def render_pgm(path, clouds) -> None:

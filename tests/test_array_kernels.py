@@ -12,6 +12,8 @@ The chaos game draws its random numbers in bulk by NumPy's own rule for
 so equal clouds mean the seeded stream is the same. `evaluate_exact` walks
 the system's cached map table where its reference walks the `AffineMap`
 objects, with the same arithmetic, so values must be equal bit for bit.
+The SVG's cloud dots are printed from digit tables, not by `%`, and must
+match `%.2f` byte for byte, ties and near-ties included.
 """
 
 import dataclasses
@@ -177,7 +179,7 @@ def render_pgm_reference(path, clouds):
 
 def _dot_paths_reference(points, panel, chunk_size=2000):
     moves = []
-    for x, y in points:
+    for x, y in points.tolist():
         px, py = _to_px(panel, x, y)
         moves.append(f"M{px:.2f} {py:.2f}h0")
     for lo in range(0, len(moves), chunk_size):
@@ -519,14 +521,27 @@ def test_exact_spec_clamps_to_the_last_row_and_column(edge_clouds, tmp_path, mon
     assert img[63, 0] == 0  # (0, 0) clamps to row height-1
 
 
+@pytest.fixture(scope="module")
+def solved_scenes():
+    """The 8 x 40 system and three random two-vertex systems, each drawn
+    with its data, its fixed-point family and its attractor clouds."""
+    scenes = []
+    for name in ("wide", "two-vertex-1", "two-vertex-2", "two-vertex-3"):
+        system, resolution, generations, tol = _clouds_and_curves(name)
+        scenes.append(dict(datasets=system.datasets,
+                           family=fixed_point(system, resolution).family,
+                           clouds=iterate_attractor(system, generations, tol)))
+    return scenes
+
+
 @pytest.mark.parametrize("spec", [
     EXACT,
     {"_WIDTH": 640, "_HEIGHT": 160, "_MARGIN": 10,
      "_panel_range": lambda alpha, entry: ((0.0, 4.0), (1.5, 4.5))},
     {},
 ])
-def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_path,
-                                             monkeypatch):
+def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, solved_scenes,
+                                             tmp_path, monkeypatch):
     family = fixed_point(ex2_system, 64, 1e-9, 200).family
     datasets = [DataSet(((0.0, 0.0), (64.0, 64.0), (32.0, np.nextafter(64.0, 65.0)), (4.0, 1.5))),
                 ex2_system.dataset(2)]
@@ -534,12 +549,61 @@ def test_render_svg_matches_scalar_reference(spec, ex2_system, edge_clouds, tmp_
         dict(datasets=datasets, family=family, clouds=edge_clouds),
         dict(family=family),
         dict(clouds=edge_clouds[1:] + edge_clouds[:1]),
+        *solved_scenes,
     ]
     _use_canvas(monkeypatch, spec)
     for k, scene in enumerate(scenes):
         render_svg(tmp_path / f"new{k}.svg", **scene)
         render_svg_reference(tmp_path / f"ref{k}.svg", **scene)
         assert (tmp_path / f"new{k}.svg").read_bytes() == (tmp_path / f"ref{k}.svg").read_bytes()
+
+
+class _Identity:
+    """A panel whose pixel coordinates are the world coordinates."""
+
+    def project(self, x, y):
+        return x, y
+
+
+def assert_dot_paths_match_percent(points):
+    """`_dot_paths` against "M%.2f %.2fh0" applied dot by dot."""
+    dots = ["M%.2f %.2fh0" % (x, y) for x, y in points.tolist()]
+    chunk = render._DOT_CHUNK
+    want = ["".join(dots[lo:lo + chunk]) for lo in range(0, len(dots), chunk)]
+    assert list(render._dot_paths(points, _Identity())) == want
+
+
+_EIGHTHS = np.arange(7201) / 8  # [0, 900]: the odd ones are .xx5 ties, exact in binary
+# The nearest doubles to the decimal ties x.xx5 in [0, 1000): each lies within
+# an ulp of its tie, and for 43,414 of them rint(100 * v) is not the cents
+# that `%.2f` prints.
+_DECIMAL_TIES = np.arange(1, 200_000, 2) / 200
+_SPECIALS = (-0.0, -0.001, -0.004999, 5e-324, 999.994, 999.995, 999.99500002, -999.999, 1000.0,
+             1e5, np.nan, np.inf, -np.inf, 0.125, 0.005)
+
+
+@pytest.mark.parametrize("values", [
+    _EIGHTHS, np.nextafter(_EIGHTHS, -1.0), np.nextafter(_EIGHTHS, 1000.0), _DECIMAL_TIES,
+    _EIGHTHS[::2], np.nextafter(_EIGHTHS[::2], -1.0), np.nextafter(_EIGHTHS[::2], 1000.0),
+], ids=["eighths", "below", "above", "decimal-ties", "quarters", "below-quarters",
+        "above-quarters"])
+def test_dot_paths_match_percent_near_ties(values):
+    # Quarters and their neighbours lie far from ties, so whole chunks of
+    # them, positive and negative, take the digit tables.
+    for v in (values, -values):
+        assert_dot_paths_match_percent(np.column_stack((v, v[::-1])))
+
+
+@pytest.mark.parametrize("n", [1, 1999, 2000, 2001, 4001])
+def test_dot_paths_match_percent_at_chunk_edges(n):
+    rng = np.random.default_rng(n)
+    plain = rng.uniform(-999.0, 999.0, size=(n, 2))
+    assert_dot_paths_match_percent(plain)
+    for k, special in enumerate(_SPECIALS):
+        for row in sorted({0, min(1999, n - 1), min(2000, n - 1), n - 1}):
+            points = plain.copy()
+            points[row, k % 2] = special
+            assert_dot_paths_match_percent(points)
 
 
 class _NoRows:

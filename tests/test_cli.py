@@ -651,6 +651,41 @@ def test_a_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, st
     assert capsys.readouterr() == ("", f"error: the run ran out of memory: {text}\n")
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("section, key", [("solver", "resolution"),
+                                          ("attractor", "chaos_points")])
+@pytest.mark.parametrize("value", [10**400, 10**20, 2**40 + 1],
+                         ids=["10**400", "10**20", "2**40+1"])
+def test_an_oversized_count_is_one_config_error_naming_it(tmp_path, capsys, monkeypatch, form,
+                                                          section, key, value):
+    # These ended in NumPy's bare "Maximum allowed size exceeded" or
+    # "Maximum allowed dimension exceeded", which names no setting.
+    def reached(*args):
+        raise AssertionError("an oversized setting reached the run")
+
+    for stage in ("fixed_point", "iterate_attractor", "chaos_game"):
+        monkeypatch.setattr(gdfif.cli, stage, reached)
+    config = _bundled("example1", outputs={"chaos_csv": "c.csv"})
+    args = []
+    if form == "flag":
+        args = ["--" + key.replace("_", "-"), str(value)]
+    else:
+        config[section] = {key: value}
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    assert main(["run", cfg, "--outdir", str(tmp_path / "out"), *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {section}.{key} must be at most {2**40}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_oversized_block_count_is_one_config_error(tmp_path, capsys):
+    # `[pair] * count` raised OverflowError: a traceback and exit 1.
+    config = _bundled("example1")
+    config["wiring"] = [{"blocks": [{"source": 1, "count": 10**20, "d": 0.3}]}]
+    cfg = str(write_config(tmp_path, yaml.safe_dump(config)))
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr() == ("", f"error: wiring 1 block 1 count must be at most {2**40}\n")
+
+
 # Every map's d is 1 - 2**-52: the value at x = 0.05 overflows.
 EVAL_PAST_THE_FLOAT_RANGE = {
     "datasets": [{"points": [[0, 0], [1, 2.0e+307], [2, -2.0e+307], [3, 0]]}],
