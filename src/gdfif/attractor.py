@@ -295,12 +295,13 @@ def _lemire(words, span):
     return (m >> np.uint64(32)).astype(np.int64), not np.any(m & np.uint64(_WORD - 1) < threshold)
 
 
-# Window steps double the candidates scanned per side: 1, 2, 4, ...  A point
-# still scanning after the last step (many points of Q in its x-strip, as on
-# a near-vertical cloud) is finished against all of Q. Distances are taken
-# in blocks of about _BLOCK at a time. After the first step up to _PROBES
-# points with the largest bounds are finished against all of Q, to lift the
-# floor early.
+# Window steps double the candidates scanned per side: 1, 2, 4, ...  Points
+# still scanning after the last step in x order (many points of Q in their
+# x-strip, as on a near-vertical cloud) scan again in y order, when there
+# are more than _PROBES of them, and any left after that are finished
+# against all of Q. Distances are taken in blocks of about _BLOCK at a time.
+# After the first step up to _PROBES points with the largest bounds are
+# finished against all of Q, to lift the floor early.
 _WINDOW_STEPS = 8
 _BLOCK = 1 << 16
 _PROBES = 64
@@ -316,54 +317,68 @@ def directed_hausdorff(p_points, q_points) -> float:
     maximum are scanned that far. A floor, the largest exact best so far,
     rises as points finish (and as a few probes with the largest bounds
     are finished first), and a point whose best is at most the floor
-    leaves the scan, since its own nearest distance cannot exceed it.
-    Every distance is max(|dx|, |dy|) of the input doubles, so the result
-    is the exact nearest-neighbour maximum. Raises ValueError on an empty
-    set or a coordinate that is not finite.
+    leaves the scan. Points that crowd one x-strip scan again in y order,
+    where the same stopping rule holds. Every distance is max(|dx|, |dy|)
+    of the input doubles, so the result is the exact nearest-neighbour
+    maximum. Raises ValueError on an empty set or a coordinate that is not
+    finite.
     """
     return _directed(_as_point_array(p_points), _as_point_array(q_points), 0.0)
 
 
 def _directed(P, Q, floor):
     """max(floor, directed_hausdorff(P, Q)) of checked point arrays."""
-    Q = Q[np.argsort(Q[:, 0])]
-    # -inf/+inf sentinels end both sides: infinitely far, in x and in distance.
-    qx = np.concatenate(([-np.inf], Q[:, 0], [np.inf]))
-    qy = np.concatenate(([0.0], Q[:, 1], [0.0]))
-    px, py = P[:, 0].copy(), P[:, 1].copy()
-    start = np.searchsorted(qx, px)  # qx[start - 1] < px <= qx[start]
-    best = np.full(len(px), np.inf)
-    active = np.arange(len(px))
+    best = np.full(len(P), np.inf)
+    active = np.arange(len(P))
+    for axis in (0, 1):
+        if axis and active.size <= _PROBES:
+            break  # a few points cost less against all of Q than sorting Q by y
+        # Scan along u, the axis'th coordinate; w is the other one.
+        q = Q[np.argsort(Q[:, axis])]
+        # -inf/+inf sentinels end both sides: infinitely far in u and in distance.
+        qu = np.concatenate(([-np.inf], q[:, axis], [np.inf]))
+        qw = np.concatenate(([0.0], q[:, 1 - axis], [0.0]))
+        pu, pw = P[:, axis].copy(), P[:, 1 - axis].copy()
+        floor, active = _window_scan(pu, pw, qu, qw, best, active, floor, probe=not axis)
+        if not active.size:
+            return floor
+    _finish_brute(pu, pw, qu, qw, best, active)
+    return max(floor, float(best[active].max()))
+
+
+def _window_scan(pu, pw, qu, qw, best, active, floor, probe):
+    """Scan the active points along u; return the raised floor and the
+    points still scanning after the last window step.
+    """
+    start = np.zeros(len(pu), dtype=np.intp)
+    start[active] = np.searchsorted(qu, pu[active])  # qu[start - 1] < pu <= qu[start]
     for step in range(_WINDOW_STEPS):
         width = 1 << step  # the steps before covered width - 1 per side
         offsets = np.arange(width - 1, 2 * width - 1)
         offsets = np.concatenate((offsets, -1 - offsets))[:, None]
         # Candidates run down axis 0, so the min is elementwise across rows.
         for k in _blocks(active, len(offsets)):
-            j = np.clip(start[k] + offsets, 0, len(qx) - 1)
-            dx, dy = qx[j], qy[j]
-            dx -= px[k]
-            dy -= py[k]
-            best[k] = np.minimum(best[k], _max_norm_min(dx, dy, axis=0))
-        if step == 0:
-            floor = _probe(px, py, qx, qy, best, active, floor)
+            j = np.clip(start[k] + offsets, 0, len(qu) - 1)
+            du, dw = qu[j], qw[j]
+            du -= pu[k]
+            dw -= pw[k]
+            best[k] = np.minimum(best[k], _max_norm_min(du, dw, axis=0))
+        if probe and step == 0:
+            floor = _probe(pu, pw, qu, qw, best, active, floor)
         # A point at or below the floor cannot raise the maximum.
         b = best[active]
         above = b > floor
         active, b = active[above], b[above]
-        x, c = px[active], start[active]
-        right = np.minimum(c + 2 * width - 1, len(qx) - 1)
+        u, c = pu[active], start[active]
+        right = np.minimum(c + 2 * width - 1, len(qu) - 1)
         left = np.maximum(c - 2 * width, 0)
-        scanning = (qx[right] - x < b) | (x - qx[left] < b)
+        scanning = (qu[right] - u < b) | (u - qu[left] < b)
         # A point that stopped scanning has its exact nearest distance.
         floor = float(b.max(initial=floor, where=~scanning))
         active = active[scanning]
         if not active.size:
             break
-    else:
-        _finish_brute(px, py, qx, qy, best, active)
-        floor = max(floor, float(best[active].max()))
-    return floor
+    return floor, active
 
 
 def _probe(px, py, qx, qy, best, rows, floor):

@@ -165,7 +165,7 @@ def read_points_csv(path) -> list[tuple[int, float, float]]:
     """
     rows: list[tuple[int, float, float]] = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             for lineno, rec in enumerate(csv.reader(fh), start=1):
                 if not rec:
                     continue
@@ -180,7 +180,7 @@ def read_points_csv(path) -> list[tuple[int, float, float]]:
                         raise ValueError(f"{len(rec)} columns")
                 except ValueError as exc:
                     raise ConfigError(f"{path}: bad row {lineno}: {exc}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
@@ -260,8 +260,8 @@ def load_config(path, flags=None) -> ProjectConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         raw = _safe_load(text)

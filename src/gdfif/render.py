@@ -15,7 +15,7 @@ import numpy as np
 
 PALETTE = ("#1f6fb4", "#c23b22", "#2c8c4b", "#8a56a5", "#b8860b", "#3aa0a0")
 
-# Rows formatted by one `%` call each time.
+# Rows the CSV writer formats at a time.
 _CSV_BLOCK = 10_000
 # Cloud dots per SVG path element, which keeps the lines a sane length.
 _DOT_CHUNK = 2000
@@ -44,7 +44,11 @@ def export_csv(path, family=None, clouds=None) -> None:
     """Write `vertex,x,y` rows with 17 significant digits, sorted by (vertex, x, y).
 
     Exactly one of `family` (curve samples) or `clouds` (attractor points)
-    must be given. 17 significant digits round-trip every float exactly.
+    must be given. Each row reads "%d,%.17g,%.17g" % (vertex, x, y), byte
+    for byte, and 17 significant digits round-trip every float exactly.
+    The floats that `%g` prints in fixed notation are written from exact
+    digit tables (see `_fixed_fields`); the others (zeros, |v| below 1e-4
+    or from 1e17 up, NaN and the infinities) are formatted by `%` in place.
     """
     if (family is None) == (clouds is None):
         raise ValueError("pass exactly one of family or clouds")
@@ -55,15 +59,144 @@ def export_csv(path, family=None, clouds=None) -> None:
     vertex, x, y = (np.concatenate(col) for col in zip(*parts)) if parts else (np.empty(0),) * 3
     # Stable, and -0.0 ties with 0.0, exactly as sorting (vertex, x, y) tuples does.
     order = np.lexsort((y, x, vertex))
-    flat = [None] * (3 * len(order))
-    flat[0::3] = vertex[order].tolist()
-    flat[1::3] = x[order].tolist()
-    flat[2::3] = y[order].tolist()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("vertex,x,y\n")
+    vertex, x, y = vertex[order], x[order], y[order]
+    with open(path, "wb") as fh:
+        fh.write(b"vertex,x,y\n")
         for lo in range(0, len(order), _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, len(order))
-            fh.write("%d,%.17g,%.17g\n" * (hi - lo) % tuple(flat[3 * lo:3 * hi]))
+            hi = lo + _CSV_BLOCK
+            fh.write(_csv_rows(vertex[lo:hi], np.column_stack((x[lo:hi], y[lo:hi]))))
+
+
+def _csv_rows(vertex, xy) -> bytes:
+    """The bytes of "%d,%.17g,%.17g\n" over the rows of (vertex, xy), whose
+    vertices come in runs; each run's label is formatted once.
+    """
+    starts = np.r_[0, np.flatnonzero(np.diff(vertex)) + 1, len(vertex)]
+    labels = [b"%d" % k for k in vertex[starts[:-1]].tolist()]
+    width = max(map(len, labels))
+    line = np.zeros((len(xy), width + 2 * _FIELD + 3), dtype=np.uint8)
+    for label, lo, hi in zip(labels, starts, starts[1:]):
+        line[lo:hi, :len(label)] = np.frombuffer(label, dtype=np.uint8)
+    fields, fixed = _fixed_fields(xy.ravel())
+    other = ~fixed
+    fields[other] = _PERCENT_FIELD
+    fields = fields.reshape(len(xy), 2, _FIELD)
+    line[:, width] = line[:, width + _FIELD + 1] = ord(",")
+    line[:, width + 1:width + _FIELD + 1] = fields[:, 0]
+    line[:, width + _FIELD + 2:-1] = fields[:, 1]
+    line[:, -1] = ord("\n")
+    text = line.tobytes().translate(None, b"\0")
+    return text % tuple(xy.ravel()[other].tolist()) if other.any() else text
+
+
+def _fixed_fields(v):
+    """The `%.17g` texts of the values v that `%g` writes in fixed notation.
+
+    Returns NUL-padded `_FIELD`-byte rows and a mask of the values they
+    hold; the other rows are garbage. The texts are laid out from each
+    value's exponent and 17 digits (see `_decimal`).
+    """
+    e, n, fixed = _decimal(v)
+    lead, rest = np.divmod(n, 10**16)
+    rest, w4 = np.divmod(rest, 10_000)
+    rest, w3 = np.divmod(rest, 10_000)
+    w1, w2 = np.divmod(rest, 10_000)
+    src = np.zeros((len(v), 6), dtype=np.uint32)
+    src[:, 0] = _HEAD[lead + 10 * np.signbit(v)]
+    for k, w in enumerate((w1, w2, w3, w4), start=1):
+        src[:, k] = _DIGITS.take(w)
+    # Trailing zeros of the 17 digits, whose lead is never 0.
+    zeros = _ZEROS.take(w1)
+    for w in (w2, w3, w4):
+        zeros = _ZEROS.take(w) + (w == 0) * zeros
+    place = _PLACE[17 * e + 16 - zeros]
+    place += np.arange(0, 24 * len(v), 24)[:, None]
+    return src.view(np.uint8).ravel().take(place), fixed
+
+
+def _decimal(v):
+    """E + 4, the 17-digit integer n and a mask of the values v that `%g`
+    writes in fixed notation; n is 10**16 for the others.
+
+    A value qualifies when its decimal exponent E after rounding to 17
+    digits lies in [-4, 16]. For such a value s = 10**(16 - E) is an exact
+    double, and Dekker's two-product (with Veltkamp's split, since NumPy
+    has no FMA) gives |v| s = p + err exactly, where p, at least 1e16, is
+    an even integer. So n = p + rint(err) is the 17-digit integer that `%`
+    rounds to, half to even. E is taken from `log10` and kept only when
+    1e16 <= |v| s, checked on the unrounded product, and n < 1e17; a value
+    one ulp below a power of ten, where `log10` rounds up, fails the check.
+    """
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)  # zeros, NaN and the rest never reach log10
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp) + 4
+    s = _SCALE[e]
+    p = a * s
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(s)
+    err = a_lo * s_lo - (((p - a_hi * s_hi) - a_lo * s_hi) - a_hi * s_lo)
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fixed &= ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (n < 10**17)
+    n[~fixed] = 10**16
+    return e, n, fixed
+
+
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each of at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _text_order(e):
+    """Source bytes of the text of a value with exponent e and 17 digits.
+
+    A value's source is 24 bytes: its sign (or NUL), "0", ".", its 17
+    digits, and NULs from byte 20 on.
+    """
+    if e < 0:
+        order = [0, 1, 2] + [1] * (-1 - e) + list(range(3, 20))
+    else:
+        order = [0] + list(range(3, 4 + e)) + [2] + list(range(4 + e, 20))
+    return order + [20] * (_FIELD - len(order))
+
+
+def _digit_tables():
+    """The tables of `_fixed_fields`, built by array arithmetic to keep
+    import cheap.
+
+    - scale[E + 4] is 10**(16 - E), exact since 5**20 < 2**53;
+    - head[lead + 10 * minus] is a value's first source word: its sign,
+      "0", "." and its lead digit;
+    - digits holds the words "0000" to "9999", zeros their trailing zeros;
+    - place[17 * (E + 4) + kept - 1] lays out a value's text from its
+      source: its trailing zeros stripped, and a bare point, but never an
+      integer digit, so 100.0 prints "100".
+    """
+    scale = np.array([float(10**k) for k in range(20, -1, -1)])
+    head = np.zeros((2, 10, 4), dtype=np.uint8)
+    head[1, :, 0] = ord("-")
+    head[:, :, 1:3] = np.frombuffer(b"0.", dtype=np.uint8)
+    head[:, :, 3] = np.arange(ord("0"), ord("0") + 10)
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    zero = (digits == ord("0")).astype(np.intp)
+    zeros = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    # A text's length: the sign, then "0.", the zeros after the point and
+    # the kept digits, or the integer digits, and a point when a kept
+    # digit follows them.
+    e, kept = np.arange(-4, 17)[:, None], np.arange(1, 18)
+    length = np.where(e < 0, 2 - e + kept, 1 + np.maximum(kept, e + 1) + (kept > e + 1))
+    full = np.array([_text_order(k) for k in range(-4, 17)], dtype=np.intp)
+    place = np.where(np.arange(_FIELD) < length[..., None], full[:, None], 20)
+    return (scale, head.view(np.uint32).ravel(), np.ascontiguousarray(digits).view(np.uint32).ravel(),
+            zeros, place.reshape(-1, _FIELD))
+
+
+# A value's text is at most 23 bytes: "-0.000" and 17 digits.
+_FIELD = 23
+_SCALE, _HEAD, _DIGITS, _ZEROS, _PLACE = _digit_tables()
+_PERCENT_FIELD = np.frombuffer(b"%.17g".ljust(_FIELD, b"\0"), dtype=np.uint8)
 
 
 def _content_by_vertex(datasets, family, clouds):

@@ -13,10 +13,12 @@ so equal clouds mean the seeded stream is the same. `evaluate_exact` walks
 the system's cached map table where its reference walks the `AffineMap`
 objects, with the same arithmetic, so values must be equal bit for bit.
 The SVG's cloud dots are printed from digit tables, not by `%`, and must
-match `%.2f` byte for byte, ties and near-ties included.
+match `%.2f` byte for byte, ties and near-ties included; so must the CSVs'
+floats match `%.17g`, against `%` value by value and file by file.
 """
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -52,7 +54,7 @@ from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
 from gdfif.render import _content_by_vertex, _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
-from support import random_dataset, random_narrow_system, random_two_vertex
+from support import export_csv_percent, random_dataset, random_narrow_system, random_two_vertex
 
 BUNDLED = ("example1", "example2", "example2b", "flat")
 
@@ -406,8 +408,21 @@ def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
         assert directed_hausdorff(q, p) == directed_hausdorff_reference(q, p)
     finished.clear()
     # Every point of one vertical line has all of the other in its x-strip.
+    # The scan in y order finishes them: only the one probe is finished
+    # against all of Q.
     assert directed_hausdorff(column, column_q) == directed_hausdorff_reference(column, column_q)
-    assert finished and finished[-1] > 10_000  # the first call finishes the probes
+    assert finished == [1]
+    # Points in the gap at the centre of a cross have one arm in their
+    # x-strip and the other in their y-strip, so both scans leave them all
+    # to the finish against all of Q.
+    finished.clear()
+    arm = rng.uniform(0.1, 1.0, 5000) * rng.choice((-1.0, 1.0), 5000)
+    cross = np.vstack((np.column_stack((np.zeros(5000), arm)),
+                       np.column_stack((arm[::-1], np.zeros(5000)))))
+    centre = rng.uniform(-0.05, 0.05, size=(200, 2))
+    assert directed_hausdorff(centre, cross) == directed_hausdorff_reference(centre, cross)
+    assert finished == [200]
+    assert_hausdorff_matches_reference(centre, cross)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -444,11 +459,17 @@ def _clouds_and_curves(name):
     return system, cfg.resolution, cfg.generations, cfg.dedup_tol
 
 
+@functools.lru_cache(maxsize=None)
+def _solved(name):
+    """(family, clouds) of one case, solved once for every test that reads it."""
+    system, resolution, generations, tol = _clouds_and_curves(name)
+    return fixed_point(system, resolution).family, iterate_attractor(system, generations, tol)
+
+
 @pytest.mark.parametrize("name", BUNDLED + ("wide", "two-vertex-1", "two-vertex-2", "two-vertex-3"))
 def test_hausdorff_distance_matches_brute_force_on_clouds(name):
-    system, resolution, generations, tol = _clouds_and_curves(name)
-    family = fixed_point(system, resolution).family
-    for cloud, fn in zip(iterate_attractor(system, generations, tol), family):
+    family, clouds = _solved(name)
+    for cloud, fn in zip(clouds, family):
         assert_hausdorff_matches_reference(cloud.points, fn.as_points())
 
 
@@ -640,6 +661,90 @@ def test_export_csv_matches_tuple_sort_reference(ex2_system, rng, tmp_path):
         export_csv(tmp_path / f"new{k}.csv", **case)
         export_csv_reference(tmp_path / f"ref{k}.csv", **case)
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def assert_csv_rows_match_percent(values):
+    """`_csv_rows` against "%d,%.17g,%.17g\\n" applied row by row."""
+    xy = np.column_stack((values, values[::-1]))
+    want = [b"%d,%.17g,%.17g\n" % (1, x, y) for x, y in xy.tolist()]
+    got = render._csv_rows(np.ones(len(xy), dtype=np.int64), xy).splitlines(keepends=True)
+    assert len(got) == len(want)
+    bad = [(x, y, g) for (x, y), g, w in zip(xy.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+# Exact decimal ties at the 18th significant digit, which `%` rounds half
+# to even: j/8 + 1e15 for j = 2 mod 4, j/128 + 1e12 for j = 4 mod 8.
+_TIES = np.concatenate(([123456789012345.625], np.arange(-4000, 4000) / 8 + 1e15,
+                        np.arange(-4000, 4000) / 128 + 1e12))
+_CSV_SPECIALS = np.array([
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e-4, 9.9999e-5, 1.5e-4, 1e16,
+    1e17, 9999.999999999998, 99999999999999984.0, 100.0, 0.5, 1.7976931348623157e308,
+    np.nan, np.inf, -np.inf])
+
+
+def _csv_randoms():
+    rng = np.random.default_rng(1712)
+    signs = rng.choice((-1.0, 1.0), 20_000)
+    return np.concatenate((signs * 10 ** rng.uniform(-7, 19, 20_000),
+                           rng.uniform(-10.0, 10.0, 20_000),
+                           rng.integers(0, 10**17, 20_000).astype(float),
+                           [10.0**k - 1 for k in range(18)], np.arange(2000.0)))
+
+
+@pytest.mark.parametrize("values", [
+    _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf), _TIES, _CSV_SPECIALS,
+    _csv_randoms(),
+], ids=["powers", "below-powers", "above-powers", "ties", "specials", "random"])
+def test_csv_rows_match_percent_value_by_value(values):
+    for v in (values, -values):
+        assert_csv_rows_match_percent(v)
+
+
+def test_csv_fixed_notation_takes_the_digit_tables():
+    # Every value `%g` writes in fixed notation takes the tables, but for
+    # a few ulp below a power of ten, where log10 may round up (as it does
+    # for 1e15 - 2).
+    ties = _TIES[(_TIES < 1e13) | (_TIES >= 1e15)]
+    fixed_notation = np.concatenate((ties, [1e-4, 1.5e-4, 0.00012345, 1.5e16, 9.5e16,
+                                             99999999999999984.0, 100.0, 1.0]))
+    for v in (fixed_notation, -fixed_notation):
+        assert render._fixed_fields(v)[1].all()
+    other = np.array([9.9999e-5, 1e-5, 1e17, 1.5e17, 0.0, -0.0, 5e-324, np.nan, np.inf])
+    assert not render._fixed_fields(other)[1].any()
+    rng = np.random.default_rng(7)
+    assert render._fixed_fields(rng.uniform(-10.0, 10.0, 10_000))[1].all()
+
+
+def assert_export_csv_matches_percent(tmp_path, **case):
+    export_csv(tmp_path / "new.csv", **case)
+    export_csv_percent(tmp_path / "ref.csv", **case)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "two-vertex-1", "two-vertex-2"))
+def test_export_csv_matches_percent_writer(name, tmp_path):
+    family, clouds = _solved(name)
+    assert_export_csv_matches_percent(tmp_path, family=family)
+    # At most about 50,000 cloud rows, which bounds the `%` writer's time.
+    step = 1 + sum(map(len, clouds)) // 50_000
+    clouds = [AttractorCloud(c.vertex, c.points[::step], 0) for c in clouds]
+    assert_export_csv_matches_percent(tmp_path, clouds=clouds)
+
+
+@pytest.mark.parametrize("n", [1, 9999, 10_000, 10_001, 20_001])
+def test_export_csv_matches_percent_writer_at_block_edges(n, tmp_path):
+    # Sorted x over every notation and sign; odd y values on the rows next
+    # to the block edges, and a vertex run that ends inside a block.
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.choice((-1.0, 1.0), n) * 10 ** rng.uniform(-7, 19, n))
+    y = rng.uniform(-5.0, 5.0, n)
+    for k, row in enumerate(r for r in (0, 9998, 9999, 10_000, 10_001, n - 1) if r < n):
+        y[row] = _CSV_SPECIALS[(3 * k + n) % len(_CSV_SPECIALS)]
+    points = np.column_stack((x, y))
+    clouds = (AttractorCloud(12345, points[::-1], 0), AttractorCloud(1, points, 0))
+    assert_export_csv_matches_percent(tmp_path, clouds=clouds)
 
 
 def _wide_system(rng):

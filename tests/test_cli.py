@@ -298,6 +298,20 @@ def test_missing_config_is_structural_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_utf8_is_one_error_naming_it(tmp_path, capsys):
+    (tmp_path / "curve.csv").write_bytes(b"\xff\xfe0,0\n1,1\n2,0\n")
+    text = MINIMAL.replace("points: [[0, 0], [1, 1], [2, 0]]", "csv: curve.csv")
+    assert main(["validate", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot read data file ")
+    assert str(tmp_path / "curve.csv") in err and "can't decode byte 0xff" in err
+    (tmp_path / "bad.yaml").write_bytes(b"name: \xff\n" + MINIMAL.encode())
+    assert main(["run", str(tmp_path / "bad.yaml"), "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot read config {tmp_path / 'bad.yaml'}: ")
+
+
 def test_run_example1(tmp_path, capsys):
     assert main(["run", "example1", "--outdir", str(tmp_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
