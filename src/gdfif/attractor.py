@@ -95,6 +95,8 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
 
 # Packed dedup keys are int64: the cell number above the row index.
 _KEY_LIMIT = 1 << 63
+# Rows keyed at a time through the packed dedup's block-sized buffers.
+_KEY_BLOCK = 1 << 14
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -108,14 +110,19 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     by a two-column lexsort of the float cell numbers. The kept rows are
     returned column-major. Raises ValueError when a cell number is not
     finite.
+
+    v -> round(v / tol) is monotone for tol > 0, and NaN and inf go through
+    it as themselves, so the cell range is that of the extreme coordinates,
+    bit for bit, without the cell numbers of the other rows. The keys are
+    built _KEY_BLOCK rows at a time, and the first of each cell is flagged
+    a block at a time, in block-sized buffers: the packed path's only
+    n-long arrays are the keys and those flags.
     """
     n = len(points)
+    x = points[:, 0]
+    y = points[:, 1]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        fx = points[:, 0] / tol
-        fy = points[:, 1] / tol
-    np.round(fx, out=fx)
-    np.round(fy, out=fy)
-    x0, x1, y0, y1 = fx.min(), fx.max(), fy.min(), fy.max()
+        x0, x1, y0, y1 = np.round(np.array((x.min(), x.max(), y.min(), y.max())) / tol)
     if not np.isfinite((x0, x1, y0, y1)).all():
         raise ValueError(f"dedup tolerance {tol!r} is too small: a point's cell number "
                          f"(coordinate / tolerance) is not finite; use a larger dedup_tol")
@@ -124,28 +131,45 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     ny = int(y1) - int(y0) + 1
     in_int64 = -_KEY_LIMIT <= min(x0, y0) and max(x1, y1) < _KEY_LIMIT
     if (nx * ny) << bits > _KEY_LIMIT or not in_int64:
+        fx = np.round(x / tol)
+        fy = np.round(y / tol)
         order = np.lexsort((fy, fx))
         fx = fx[order]
         fy = fy[order]
         first = np.ones(n, dtype=bool)
         first[1:] = (fx[1:] != fx[:-1]) | (fy[1:] != fy[:-1])
         return _take_rows(points, np.sort(order[first]))
-    # Each float column goes once cast, so at most three n-long arrays are held.
-    key = fx.astype(np.int64)
-    del fx
-    key -= int(x0)
-    key *= ny
-    ky = fy.astype(np.int64)
-    del fy
-    ky -= int(y0)
-    key += ky
-    key <<= bits
-    key |= np.arange(n)
+    # One block's float cell numbers, and its int64 y cells; the flags
+    # reuse the latter, one longer, for the key before the block.
+    size = min(n, _KEY_BLOCK)
+    cells = np.empty(size)
+    ky = np.empty(size + 1, dtype=np.int64)
+    rows = np.arange(size)
+    key = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _KEY_BLOCK):
+        hi = min(lo + _KEY_BLOCK, n)
+        k, c, r = key[lo:hi], cells[:hi - lo], ky[:hi - lo]
+        np.divide(x[lo:hi], tol, out=c)
+        np.round(c, out=c)
+        k[...] = c
+        k -= int(x0)
+        k *= ny
+        np.divide(y[lo:hi], tol, out=c)
+        np.round(c, out=c)
+        r[...] = c
+        r -= int(y0)
+        k += r
+        k <<= bits
+        k += rows[:hi - lo]
+        k += lo
     key.sort()
-    cell = key >> bits
-    first = np.ones(n, dtype=bool)
-    np.not_equal(cell[1:], cell[:-1], out=first[1:])
-    keep = key[first]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    for lo in range(1, n, _KEY_BLOCK):
+        hi = min(lo + _KEY_BLOCK, n)
+        c = np.right_shift(key[lo - 1:hi], bits, out=ky[:hi - lo + 1])
+        np.not_equal(c[1:], c[:-1], out=first[lo:hi])
+    keep = np.compress(first, key)
     keep &= (1 << bits) - 1
     keep.sort()
     return _take_rows(points, keep)
@@ -240,7 +264,7 @@ def chaos_game(
         points[lo:lo + len(walk)] = walk
     clouds = []
     for alpha in range(1, n + 1):
-        pts = points[vertex == alpha - 1][burn_in:]
+        pts = np.compress(vertex == alpha - 1, points, axis=0)[burn_in:]
         if not len(pts):
             raise ValueError(
                 f"vertex {alpha} kept no points past burn-in; "

@@ -23,6 +23,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_left
 from operator import itemgetter
 from pathlib import Path
@@ -318,6 +319,53 @@ def test_dedup_keeps_cells_numbered_past_int64(rng, monkeypatch):
         _dedup(uniform, 1e-320)
 
 
+# Coordinates / tol with ties at both ends of the y range: 0.5 rounds down to even
+# and 1.5 up, so a range taken with floor would be one cell short at the
+# top, and the cells (0, 2) and (1, 0) would pack to one key.
+_RANGE_TIES = np.array([[0.0, 1.5], [1.0, 0.5], [-1.5, 0.5], [-0.5, 1.5]])
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocked_dedup_matches_references_across_block_edges(block, rng, monkeypatch):
+    # Each random coordinate / tol is k, k + 0.25, k + 0.75 or a tie k + 0.5,
+    # for k in -3..3: a few cells with many points each, so the sorted runs
+    # of one cell cross the block edges.
+    monkeypatch.setattr(attractor, "_KEY_BLOCK", block)
+    tol = 0.25
+    sizes = sorted({n for k in (1, 2, 3) for n in (k * block - 1, k * block, k * block + 1) if n})
+    for n in sizes:
+        pts = rng.integers(-12, 13, size=(n, 2)) / 4 * tol
+        ties = np.resize(_RANGE_TIES, (n, 2)) * tol
+        one_cell = np.full((n, 2), -1.0) + rng.uniform(-0.4, 0.4, size=(n, 2)) * tol
+        cases = [(pts, tol, False), (ties, tol, False), (-ties, tol, False),
+                 (one_cell, tol, False), (pts + 1.0, 1e-19, True)]  # cells past int64
+        for points, t, lexsorted in cases:
+            for layout in (points, np.asfortranarray(points)):
+                got, took_lexsort = _dedup_spied(layout, t, monkeypatch)
+                assert took_lexsort == lexsorted
+                assert bits(got) == bits(dedup_float_reference(points, t))
+                if not lexsorted:
+                    assert bits(got) == bits(dedup_reference(points, t))
+        assert len(_dedup(one_cell, tol)) == 1
+    assert bits(_dedup(np.array([[-0.375, 0.125]]), tol)) == bits([[-0.375, 0.125]])
+
+
+@pytest.mark.parametrize("points", [
+    [[1.0, 0.0], [1e300, 0.0]],
+    [[-1e300, 0.0], [1.0, 0.0]],
+    [[0.0, 1.0], [0.0, 1e300]],
+    [[0.0, -1e300], [0.0, 1.0]],
+])
+def test_dedup_reports_an_overflow_at_one_end_of_the_range(points):
+    # Only the largest or only the smallest coordinate overflows its cell
+    # number; the message is the one a full pass of the cell numbers gave.
+    with pytest.raises(ValueError) as err:
+        _dedup(np.array(points), 1e-10)
+    assert str(err.value) == (
+        "dedup tolerance 1e-10 is too small: a point's cell number "
+        "(coordinate / tolerance) is not finite; use a larger dedup_tol")
+
+
 def _three_vertex_system():
     # No map reads from vertex 3, which is built from vertices 1 and 2 only.
     datasets = [DataSet(EX2_POINTS_1), DataSet(EX2_POINTS_2),
@@ -376,6 +424,29 @@ def test_traced_iterate_attractor_calls_the_public_step_once_per_generation(monk
     assert len(calls) == generations
     assert [c.generation for c in calls[-1]] == [generations - 1] * system.n
     assert [bits(c.points) for c in traced] == [bits(c.points) for c in untraced]
+
+
+def test_iterate_attractor_memory_peak_on_example2b():
+    """The traced peak holds the images and one n-long key and flag array.
+
+    The peak comes in the last generation's dedup of vertex 2. Then both
+    vertices' images, 590,216 and 525,692 rows, hold 17.9 MB; vertex 1's
+    kept cloud holds 1.6 MB; vertex 2's int64 keys and flags hold 4.7 MB;
+    its kept rows, as keys and as the cloud, hold 3.4 MB; the block
+    buffers hold 0.4 MB. That is 28.0 MB (28,014,248 bytes traced). A
+    dedup that held the float cell numbers and the row numbers n-long
+    beside the keys peaked at 36.0 MB (36,031,296 bytes): one stray n-long
+    array of vertex 2 adds 4.2 MB. The margin is 2%.
+    """
+    system = bundled_system("example2b")[1]
+    iterate_attractor(system, 12, 1e-3)
+    tracemalloc.start()
+    try:
+        iterate_attractor(system, 12, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28_014_248 * 1.02
 
 
 def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
