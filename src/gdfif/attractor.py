@@ -9,7 +9,6 @@ on the attractor exactly and only has to fill it in.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,8 +220,6 @@ def iterate_attractor(
 
 # Chaos steps walked between copies of their points into one array.
 _WALK_BLOCK = 8192
-# Random 32-bit words are held in uint64 so products with a span fit.
-_WORD = 1 << 32
 
 
 def chaos_game(
@@ -239,8 +236,8 @@ def chaos_game(
     source vertex, and makes the image the target's new current point. A
     vertex's first `burn_in` emissions are discarded. Fully deterministic
     for a given seed: the picks are those of `integers(1, n + 1)` and then
-    `integers(0, maps)` on `np.random.default_rng(seed)`, drawn in bulk from
-    the generator's 32-bit words (see `_draws`).
+    `integers(0, maps)` on `np.random.default_rng(seed)`, all drawn by one
+    array call of NumPy's own (see `_draws`).
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
@@ -279,44 +276,27 @@ def _draws(seed: int, n: int, counts: list[int], steps: int):
     `integers(1, n + 1)` and then `integers(0, counts[vertex])` per step
     on `np.random.default_rng(seed)`.
 
-    Every vertex has two or more maps, so each step reads the same number
-    of words: all of them are read at once, by `integers(0, 2**32)`, which
-    returns the words unchanged, and mapped by `_lemire`. If a word would
-    be rejected, the steps are drawn again one `integers` call at a time
-    from a fresh generator.
+    `integers(0, spans)` draws element by element in C order, on the same
+    stream and by the same rule as those scalar calls, so with a row of
+    [n, counts[vertex]] spans per step it returns exactly their picks once
+    every vertex it was given is the one it draws. The vertices start as a
+    guess and are replaced by the drawn ones until the two agree: all the
+    steps before the first that differs had their right spans, so that
+    step's vertex, drawn with span n, is right too, and each repeat fixes
+    at least one more step. A vertex span of 1 (one vertex) reads no word,
+    in the scalar calls and in the array call alike.
     """
-    offsets = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
-    per_step = 1 + (n > 1)
-    words = np.random.default_rng(seed).integers(0, _WORD, steps * per_step, dtype=np.uint64)
-    step_words = words.reshape(steps, per_step)
-    vertex, fits = np.zeros(steps, dtype=np.int64), True
-    if n > 1:
-        vertex, fits = _lemire(step_words[:, 0], n)
-    spans = np.array(counts, dtype=np.uint64)[vertex]
-    index, fits_maps = _lemire(step_words[:, -1], spans)
-    if fits and fits_maps:
-        return vertex, offsets[vertex] + index
-    rng = np.random.default_rng(seed)
-    vertex = np.empty(steps, dtype=np.int64)
-    index = np.empty(steps, dtype=np.int64)
-    for k in range(steps):
-        vertex[k] = v = rng.integers(1, n + 1) - 1
-        index[k] = rng.integers(0, counts[v])
-    return vertex, offsets[vertex] + index
-
-
-def _lemire(words, span):
-    """Lemire's map of 32-bit words onto [0, span), and whether it kept them all.
-
-    NumPy's `Generator.integers(0, span)`, for 1 < span < 2**32, returns
-    (w * span) >> 32 for the first word w it reads for which
-    (w * span) mod 2**32 is at least (2**32 - span) mod span. `span` is an
-    int or a uint64 array of one span per word.
-    """
-    span = np.asarray(span, dtype=np.uint64)
-    m = words * span
-    threshold = (np.uint64(_WORD) - span) % span
-    return (m >> np.uint64(32)).astype(np.int64), not np.any(m & np.uint64(_WORD - 1) < threshold)
+    counts = np.array(counts)
+    offsets = np.cumsum(counts) - counts
+    spans = np.full((steps, 2), n)
+    # A guess, right unless a pick rejected a word: each pick then reads one.
+    vertex = np.random.default_rng(seed).integers(0, n, spans.shape)[:, 0]
+    while True:
+        spans[:, 1] = counts[vertex]
+        drawn = np.random.default_rng(seed).integers(0, spans)
+        if np.array_equal(drawn[:, 0], vertex):
+            return vertex, offsets[vertex] + drawn[:, 1]
+        vertex = drawn[:, 0]
 
 
 # Window steps double the candidates scanned per side: 1, 2, 4, ...  Points

@@ -419,6 +419,14 @@ def interpolation_residual(system: GifsSystem, family: FunctionFamily) -> float:
                for alpha in range(1, system.n + 1))
 
 
+# The deepest pullback chain evaluate_exact walks. The chain holds one
+# entry per level, about 100 bytes: depth 2**20 took 0.9 s and 151 MiB
+# max RSS on a 2-vCPU Xeon VM, and depth 10**8 would hold about 10 GB.
+# For r <= 0.99996, r**(2**20) is already below 2**-53, so a deeper walk
+# could not change a value by more than round-off.
+_MAX_DEPTH = 1 << 20
+
+
 def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> float:
     """Pointwise value by repeated pullback, with no sampling grid at all.
 
@@ -431,10 +439,13 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     chain with depth left, takes the knot's ordinate: knots evaluate to
     their data ordinates at every depth, free of the round-off that further
     pullbacks would amplify. The walk reads the system's cached map table
-    (`GifsSystem.table`). A value past the float range raises ValueError.
+    (`GifsSystem.table`). A value past the float range, or a depth past
+    _MAX_DEPTH, raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be at most {_MAX_DEPTH} (2**20)")
     if not 1 <= alpha <= system.n:
         raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
     table = system.table

@@ -7,11 +7,11 @@ for byte, on inputs chosen to hit every boundary: range ends, exact .5
 pixel coordinates, clamped rows and columns, dedup cell boundaries and key
 widths, duplicates, signed zeros, ties in x and crowded x-strips.
 
-The chaos game draws its random numbers in bulk by NumPy's own rule for
-`Generator.integers`; the loop it replaced calls `integers` twice per step,
-so equal clouds mean the seeded stream is the same. `evaluate_exact` walks
-the system's cached map table where its reference walks the `AffineMap`
-objects, with the same arithmetic, so values must be equal bit for bit.
+The chaos game draws all its picks in one array call of `Generator.integers`;
+the loop it replaced calls `integers` twice per step, so equal clouds mean
+the seeded stream is the same. `evaluate_exact` walks the system's cached
+map table where its reference walks the `AffineMap` objects, with the same
+arithmetic, so values must be equal bit for bit.
 The SVG's cloud dots are printed from digit tables, not by `%`, and must
 match `%.2f` byte for byte, ties and near-ties included; so must the CSVs'
 floats match `%.17g`, against `%` value by value and file by file.
@@ -19,7 +19,6 @@ floats match `%.17g`, against `%` value by value and file by file.
 
 import dataclasses
 import functools
-import math
 import os
 import subprocess
 import sys
@@ -49,7 +48,7 @@ from gdfif import (
 import gdfif
 from gdfif import attractor, render
 from gdfif.attractor import (
-    _dedup, _lemire, data_clouds, directed_hausdorff, hausdorff_distance,
+    _dedup, _draws, data_clouds, directed_hausdorff, hausdorff_distance,
 )
 from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
@@ -138,6 +137,16 @@ def directed_hausdorff_reference(p, q, rows=32):
         dy = np.abs(qy - p[lo:lo + rows, 1, None])
         best.append(np.maximum(dx, dy, out=dx).min(axis=1))
     return float(np.concatenate(best).max())
+
+
+def directed_hausdorff_on_a_vertical_line(p, q):
+    """directed_hausdorff_reference for points that all share one x: each
+    max-norm distance is then |dy|, and each p's nearest q is a neighbour
+    of it in sorted y."""
+    assert (p[:, 0] == q[0, 0]).all() and (q[:, 0] == q[0, 0]).all()
+    qy = np.concatenate(([-np.inf], np.sort(q[:, 1]), [np.inf]))
+    j = np.searchsorted(qy, p[:, 1])  # qy[j - 1] < py <= qy[j]
+    return float(np.minimum(qy[j] - p[:, 1], p[:, 1] - qy[j - 1]).max())
 
 
 def export_csv_reference(path, family=None, clouds=None):
@@ -481,7 +490,8 @@ def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
     # Every point of one vertical line has all of the other in its x-strip.
     # The scan in y order finishes them: only the one probe is finished
     # against all of Q.
-    assert directed_hausdorff(column, column_q) == directed_hausdorff_reference(column, column_q)
+    want = directed_hausdorff_on_a_vertical_line(column, column_q)
+    assert directed_hausdorff(column, column_q) == want
     assert finished == [1]
     # Points in the gap at the centre of a cross have one arm in their
     # x-strip and the other in their y-strip, so both scans leave them all
@@ -910,16 +920,26 @@ def test_chaos_game_matches_loop_reference(name):
         assert_same_chaos(system, 500, 499, 3)
 
 
-def test_chaos_game_replays_the_drawn_words_after_a_rejection(monkeypatch):
-    # A rejected word sends every step to the `integers` calls on a fresh
-    # generator, which must walk the same steps as the batch would have.
-    lemire = attractor._lemire
-    monkeypatch.setattr(attractor, "_lemire", lambda words, span: (lemire(words, span)[0], False))
-    assert_same_chaos(_three_vertex_system(), 2000, 0, 11)
-    for name in ("example1", "example2"):
-        system = bundled_system(name)[1]
-        assert_same_chaos(system, 1001, 10, 5)
-    assert_same_chaos(_wide_system(np.random.default_rng(3)), 2000, 0, 11)
+def draws_reference(seed, n, counts, steps):
+    rng = np.random.default_rng(seed)
+    offsets = [sum(counts[:v]) for v in range(n)]
+    vertex, index = [], []
+    for _ in range(steps):
+        v = int(rng.integers(1, n + 1)) - 1
+        vertex.append(v)
+        index.append(offsets[v] + int(rng.integers(0, counts[v])))
+    return vertex, index
+
+
+@pytest.mark.parametrize("n, counts", [
+    (1, [2**31 + 1]), (2, [3, 2**31 + 1]), (3, [3 * 2**30, 2, 2**32 - 1]), (3, [2, 3, 4]),
+])
+def test_draws_match_scalar_integers(n, counts):
+    # Span 2**31 + 1 rejects about half its words and 3 * 2**30 a quarter,
+    # so the drawn vertices disagree with the first guess many times over.
+    for seed in (0, 5, 11):
+        vertex, index = _draws(seed, n, counts, 400)
+        assert (vertex.tolist(), index.tolist()) == draws_reference(seed, n, counts, 400)
 
 
 @pytest.mark.parametrize("args", [(1000, -1), (100, 100), (100, 200), (4, 3)])
@@ -930,46 +950,6 @@ def test_chaos_game_errors_match_loop_reference(args):
     with pytest.raises(ValueError) as got:
         chaos_game(system, *args, seed=1)
     assert str(got.value) == str(want.value)
-
-
-def integers_from_word(word, span):
-    """`Generator.integers(0, span)` with `word` as its next 32-bit word, and
-    whether it kept that word: a kept word leaves PCG64's state unread."""
-    bit_generator = np.random.PCG64(0)
-    state = bit_generator.state
-    bit_generator.state = {**state, "has_uint32": 1, "uinteger": int(word)}
-    value = int(np.random.Generator(bit_generator).integers(0, span))
-    return value, bit_generator.state["state"] == state["state"]
-
-
-def threshold_words(span):
-    """Words w for which w * span mod 2**32 is 0 or lies next to the rejection
-    threshold (2**32 - span) mod span, just below it, at it or just above it."""
-    step = math.gcd(span, 1 << 32)  # w * span mod 2**32 runs over its multiples
-    threshold = ((1 << 32) - span) % span
-    inverse = pow(span // step, -1, (1 << 32) // step)
-    residues = {0, threshold - step, threshold, threshold + step} - {-step}
-    return [r // step * inverse % ((1 << 32) // step) for r in sorted(residues)]
-
-
-def test_lemire_matches_generator_integers():
-    # Span 2**31 + 1 rejects about half its words and 3 * 2**30 a quarter;
-    # 2**32 - 1 rejects only the word 0. If NumPy changes its rule for
-    # Generator.integers, this fails first.
-    for span in (2, 3, 40, 2**31 + 1, 3 * 2**30, 2**32 - 1):
-        words = [threshold_words(span)]
-        words += [np.random.default_rng(seed).integers(0, 1 << 32, 150) for seed in (0, 1, 99)]
-        words = np.concatenate(words).astype(np.uint64)
-        want = [integers_from_word(w, span) for w in words.tolist()]
-        got = [_lemire(words[k:k + 1], span) for k in range(len(words))]
-        assert [(int(v[0]), fits) for v, fits in got if fits] == [w for w in want if w[1]]
-        assert [fits for _, fits in got] == [kept for _, kept in want]
-        # One call on all the words maps each the same and keeps them all
-        # exactly when each is kept.
-        values, fits = _lemire(words, span)
-        assert values.tolist() == [int(v[0]) for v, _ in got]
-        assert fits == all(kept for _, kept in want)
-        assert fits == (span == 2)  # only a power of two rejects no word
 
 
 def apply_map_reference(m, point):

@@ -361,6 +361,15 @@ def test_eval_flat_is_zero(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
 
+def test_eval_refuses_a_depth_past_the_chain_bound(capsys):
+    assert main(["eval", "example1", "--x", "0.5", "--depth", "1048577"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: depth must be at most 1048576 (2**20)\n"
+    # A knot is answered at the first level, so the bound itself is cheap here.
+    assert main(["eval", "example1", "--x", "0", "--depth", "1048576"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+
 def test_eval_out_of_range_is_structural(capsys):
     assert main(["eval", "example1", "--x", "11"]) == 2
     assert "error:" in capsys.readouterr().err
