@@ -237,28 +237,35 @@ def chaos_game(
     vertex's first `burn_in` emissions are discarded. Fully deterministic
     for a given seed: the picks are those of `integers(1, n + 1)` and then
     `integers(0, maps)` on `np.random.default_rng(seed)`, all drawn by one
-    array call of NumPy's own (see `_draws`).
+    array call of NumPy's own (see `_draws`). When a step leaves the float
+    range, burn-in or not, raises ValueError naming the vertex whose map
+    first took a finite point past it.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if total_points <= burn_in:
         raise ValueError("total_points must exceed burn_in")
     n = system.n
-    counts = [len(v.maps) for v in system.table]
-    vertex, index = _draws(seed, n, counts, total_points)
-    rows = [(*m, target) for target, v in enumerate(system.table) for m in v.maps]
+    table = system.table
+    vertex, index = _draws(seed, n, [len(maps) for _, _, maps, _, _ in table], total_points)
+    rows = [(a, c, d, e, f, source - 1, target) for target, (_, _, maps, _, _) in enumerate(table)
+            for a, c, d, e, f, source in maps]
     current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
     points = np.empty((total_points, 2))
     for lo in range(0, total_points, _WALK_BLOCK):
         walk = []
         append = walk.append
         # transform_points's products and sums; addition commutes, so the same rounding.
-        for a, c, d, e, f, source, _, _, target in map(
+        for a, c, d, e, f, source, target in map(
                 rows.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
             x, y = current[source]
             current[target] = point = (a * x + e, c * x + d * y + f)
             append(point)
         points[lo:lo + len(walk)] = walk
+    if not np.isfinite((points.min(), points.max())).all():
+        # the walk's first point past the range had a finite source
+        first = np.argmin(np.isfinite(points).all(axis=1))
+        raise ValueError(f"the maps of vertex {vertex[first] + 1} leave the float range")
     clouds = []
     for alpha in range(1, n + 1):
         pts = np.compress(vertex == alpha - 1, points, axis=0)[burn_in:]

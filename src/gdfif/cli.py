@@ -316,13 +316,20 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
             f"outputs.chaos_csv needs attractor.chaos_points ({settings['chaos_points']}) "
             f"above attractor.burn_in ({settings['burn_in']})"
         )
+    outputs = tuple((k, _text(outputs[k], f"outputs.{k}")) for k in OUTPUT_KEYS if k in outputs)
+    written = {}
+    for key, rel in outputs:
+        where = os.path.normpath(rel)
+        if where in written:
+            raise ConfigError(f"outputs.{written[where]} and outputs.{key} both name {where!r}")
+        written[where] = key
 
     return ProjectConfig(
         name=_text(raw["name"], "name") if "name" in raw else path.stem,
         datasets=datasets,
         plan=plan,
         condition3_mode=mode,
-        outputs=tuple((k, _text(outputs[k], f"outputs.{k}")) for k in OUTPUT_KEYS if k in outputs),
+        outputs=outputs,
         outdir=_text(raw["outdir"], "outdir") if "outdir" in raw else None,
         **settings,
     )

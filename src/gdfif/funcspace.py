@@ -205,7 +205,7 @@ class _Transfer:
 
     def __init__(self, system: GifsSystem, resolution: int, sources=None):
         datasets = system.datasets
-        maps = np.array([m for v in system.table for m in v.maps])
+        maps = np.array([m for _, _, row, _, _ in system.table for m in row])
         a, c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
         # the abscissas in C order, unlike the blocks, so that row slices are views
@@ -225,7 +225,7 @@ class _Transfer:
         j = np.empty(x.shape, dtype=np.int32 if starts[-1] < 2**31 else np.intp)
         dg = np.empty(x.shape)
         hit = np.empty(x.shape, dtype=bool)
-        read_from = maps[:, 5].astype(int)
+        read_from = maps[:, 5].astype(int) - 1
         per = max(1, self._CHUNK // resolution)
         # data near the float range may overflow here: each sweep reports it
         with np.errstate(all="ignore"):
@@ -439,8 +439,10 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     chain with depth left, takes the knot's ordinate: knots evaluate to
     their data ordinates at every depth, free of the round-off that further
     pullbacks would amplify. The walk reads the system's cached map table
-    (`GifsSystem.table`). A value past the float range, or a depth past
-    _MAX_DEPTH, raises ValueError.
+    (`GifsSystem.table`): each vertex's knot lists and domain ends, and its
+    `AffineMap` tuples themselves, unpacked as (a, c, d, e, f, source). A
+    value past the float range, or a depth past _MAX_DEPTH, raises
+    ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -449,19 +451,18 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     if not 1 <= alpha <= system.n:
         raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
     table = system.table
-    xs, fs, maps = table[alpha - 1]
+    xs, fs, maps, lo, hi = table[alpha - 1]
     x = float(x)
-    if not xs[0] <= x <= xs[-1]:
-        raise ValueError(
-            f"x = {x:g} is outside [{xs[0]:g}, {xs[-1]:g}] for vertex {alpha}"
-        )
+    if not lo <= x <= hi:
+        raise ValueError(f"x = {x:g} is outside [{lo:g}, {hi:g}] for vertex {alpha}")
     chain = []
     for _ in range(depth):
         i = bisect_left(xs, x)
         if xs[i] == x:
             value = fs[i]
             break
-        a, c, d, e, f, source, lo, hi = maps[i - 1]
+        a, c, d, e, f, source = maps[i - 1]
+        xs, fs, maps, lo, hi = table[source - 1]
         t = (x - e) / a
         # round-off can push the pullback a few ulp past the source domain
         if t < lo:
@@ -469,7 +470,6 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
         elif t > hi:
             t = hi
         chain.append((c, d, f, t))
-        xs, fs, maps = table[source]
         x = t
     else:
         value = fs[0] + (x - xs[0]) * (fs[-1] - fs[0]) / (xs[-1] - xs[0])

@@ -32,12 +32,11 @@ import numpy as np
 from .model import STRICT_MODE, DataSet, WiringPlan, validate
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """(x, y) -> (a x + e, c x + d y + f) with a lower-triangular linear part.
 
     Its target is its place: `GifsSystem.maps[k][i]` maps onto interval i+1
-    of vertex k+1.
+    of vertex k+1. A named tuple, so the kernels unpack it as it is.
     """
 
     a: float
@@ -78,19 +77,6 @@ def transform_points(m: AffineMap, points: np.ndarray, out: np.ndarray | None = 
     np.multiply(x, m.a, out=out[:, 0])
     out[:, 0] += m.e
     return out
-
-
-class VertexTable(NamedTuple):
-    """One vertex's knots and maps as plain Python values.
-
-    `xs` and `fs` are the knot abscissas and ordinates as lists of floats;
-    `maps[i - 1]` is interval i's map as the tuple
-    (a, c, d, e, f, source index from 0, source domain lo, hi).
-    """
-
-    xs: list[float]
-    fs: list[float]
-    maps: list[tuple[float, float, float, float, float, int, float, float]]
 
 
 @dataclass(frozen=True)
@@ -141,23 +127,19 @@ class GifsSystem:
         return self.maps[alpha - 1]
 
     @cached_property
-    def table(self) -> tuple[VertexTable, ...]:
-        """`table[k]` is vertex k+1's knots and maps, built on first use.
+    def table(self) -> tuple[tuple, ...]:
+        """`table[k]` is (xs, fs, maps, lo, hi) for vertex k+1, built on first use.
 
+        `xs` and `fs` are its knot abscissas and ordinates as lists of
+        floats, `maps` is `self.maps[k]` itself, and [lo, hi] is its domain.
         Raises ValueError naming the first vertex with a map whose
         coefficients overflowed or whose `a` underflowed to 0.
         """
         for alpha, maps in enumerate(self.maps, start=1):
             if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in maps):
                 raise ValueError(f"the maps of vertex {alpha} leave the float range")
-        domains = [(ds.first[0], ds.last[0]) for ds in self.datasets]
         return tuple(
-            VertexTable(
-                [x for x, _ in ds.points],
-                [F for _, F in ds.points],
-                [(m.a, m.c, m.d, m.e, m.f, m.source_vertex - 1, *domains[m.source_vertex - 1])
-                 for m in maps],
-            )
+            ([x for x, _ in ds.points], [F for _, F in ds.points], maps, ds.first[0], ds.last[0])
             for ds, maps in zip(self.datasets, self.maps)
         )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdfif import (
+    USED_EDGES_MODE,
     AttractorCloud,
     CloudBudgetError,
     DataSet,
@@ -36,6 +37,19 @@ def test_an_image_past_the_float_range_raises_naming_the_vertex():
     clouds = hutchinson_step(system, data_clouds(system))
     with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
         hutchinson_step(system, clouds)
+    # the walk's Python floats overflow without a warning
+    with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
+        chaos_game(system, 2000, 0, 1)
+
+
+def test_a_walk_past_the_float_range_names_the_vertex_whose_maps_overflow():
+    # Vertex 1 reads only vertex 2, whose maps overflow; vertex 1's maps do not.
+    system = build_system([DataSet(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))),
+                           DataSet(((0.0, 1e308), (0.5, 1.7e308), (1.0, 1e308)))],
+                          WiringPlan.from_pairs([[(2, 0.5)] * 2] * 2), USED_EDGES_MODE)
+    for sample in (lambda: iterate_attractor(system, 3, 0), lambda: chaos_game(system, 2000)):
+        with pytest.raises(ValueError, match="^the maps of vertex 2 leave the float range$"):
+            sample()
 
 
 def test_hutchinson_step_endpoint_cloud(ex1_system):

@@ -817,6 +817,16 @@ def test_config_value_out_of_range_is_rejected(tmp_path, setting):
         load_config(write_config(tmp_path, MINIMAL + setting + "\n"))
 
 
+def test_two_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys):
+    # the summary used to overwrite both CSVs without a word
+    text = MINIMAL + "outputs: {csv: same.csv, cloud_csv: same.csv, summary: ./same.csv}\n"
+    outdir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, text)), "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: outputs.csv and outputs.cloud_csv both name 'same.csv'\n")
+    assert not outdir.exists()
+
+
 def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
     text = MINIMAL + "attractor: {chaos_points: 101, burn_in: 100}\n"
     assert load_config(write_config(tmp_path, text)).chaos_points == 101

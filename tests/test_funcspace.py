@@ -165,7 +165,7 @@ def test_apply_T_knot_values_exact_over_iterations(ex2_system):
 def test_apply_T_rejects_maps_that_miss_the_knots(ex1_system):
     # Shifting f moves both one-sided values at the middle interval's knots.
     maps = list(ex1_system.maps_for(1))
-    maps[1] = dataclasses.replace(maps[1], f=maps[1].f + 0.5)
+    maps[1] = maps[1]._replace(f=maps[1].f + 0.5)
     broken = dataclasses.replace(ex1_system, maps=(tuple(maps),))
     with pytest.raises(ValueError, match="one-sided knot values for vertex 1 deviate"):
         apply_T(broken, initial_family(broken, 16), 16)

@@ -79,6 +79,20 @@ def test_apply_map_identity_coefficients():
     assert apply_map(ident, (1.7, -2.3)) == (1.7, -2.3)
 
 
+def test_affine_map_is_an_immutable_record_of_its_six_fields():
+    m = AffineMap(a=0.5, c=0.1, d=0.3, e=0.0, f=-0.2, source_vertex=2)
+    assert tuple(m) == (0.5, 0.1, 0.3, 0.0, -0.2, 2)
+    with pytest.raises(AttributeError):
+        m.d = 0.4
+    moved = m._replace(f=0.2)
+    assert (moved.f, m.f) == (0.2, -0.2)
+    assert moved is not m
+    twin = AffineMap(0.5, 0.1, 0.3, 0.0, -0.2, 2)
+    assert twin == m and hash(twin) == hash(m)
+    assert moved != m and AffineMap(0.5, 0.1, 0.3, 0.0, -0.2, 1) != m
+    assert len({m, twin, moved}) == 2
+
+
 def test_endpoint_residuals_examples(ex1_system, ex2_system, flat_system):
     assert endpoint_residuals(ex1_system) <= 1e-12
     assert endpoint_residuals(ex2_system) <= 1e-12

@@ -23,6 +23,8 @@ from gdfif import (
     WiringPlan,
     apply_T,
     build_system,
+    chaos_game,
+    evaluate_exact,
     family_distance,
     fixed_point,
     initial_family,
@@ -212,7 +214,7 @@ def test_a_node_hit_returns_the_node_value_with_its_sign():
     # its interpolation formula would give slope * 0 + -0.0 = +0.0.
     ds = DataSet(((-3.0, 0.0), (-2.0, 0.0), (-1.2, 0.0), (0.0, 0.0)))
     system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 3]))
-    maps = tuple(dataclasses.replace(m, c=0.0, f=-0.0) for m in system.maps_for(1))
+    maps = tuple(m._replace(c=0.0, f=-0.0) for m in system.maps_for(1))
     system = dataclasses.replace(system, maps=(maps,))
     family = nodes_at_pullbacks(system, 24, None, inside=-0.0)
     got = apply_T(system, family, 24)
@@ -223,7 +225,7 @@ def test_a_node_hit_returns_the_node_value_with_its_sign():
 def nudged(system, vertex, interval, **coefficients):
     """`system` with some coefficients of one map replaced."""
     row = list(system.maps_for(vertex))
-    row[interval - 1] = dataclasses.replace(row[interval - 1], **coefficients)
+    row[interval - 1] = row[interval - 1]._replace(**coefficients)
     maps = list(system.maps)
     maps[vertex - 1] = tuple(row)
     return dataclasses.replace(system, maps=tuple(maps))
@@ -319,7 +321,7 @@ def test_fixed_point_memory_peak_at_resolution_4096(fine_system):
 
 def test_knot_deviation_still_raises(ex2_system):
     maps = list(ex2_system.maps_for(2))
-    maps[2] = dataclasses.replace(maps[2], f=maps[2].f + 1e-3)
+    maps[2] = maps[2]._replace(f=maps[2].f + 1e-3)
     broken = dataclasses.replace(ex2_system, maps=(ex2_system.maps_for(1), tuple(maps)))
     family = initial_family(broken, 16)
     with pytest.raises(ValueError) as want:
@@ -334,12 +336,15 @@ def test_knot_deviation_still_raises(ex2_system):
 
 def test_maps_past_the_float_range_raise_naming_the_vertex():
     # The pullbacks and c t overflow: an error, and no NumPy warning first.
+    # Each kernel reads the maps through the system's checked table.
     ds = DataSet(((0.0, 0.0), (1e308, 1.5e308), (1.7e308, -1.5e308)))
     system = build_system([ds], WiringPlan.from_pairs([[(1, 0.5)] * 2]))
     family = initial_family(system, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in (lambda: fixed_point(system, 16), lambda: apply_T(system, family, 16)):
+        for solve in (lambda: fixed_point(system, 16), lambda: apply_T(system, family, 16),
+                      lambda: evaluate_exact(system, 1, 5e307, 10),
+                      lambda: chaos_game(system, 2000, 0, 1)):
             with pytest.raises(ValueError, match="^the maps of vertex 1 leave the float range$"):
                 solve()
 
@@ -347,7 +352,7 @@ def test_maps_past_the_float_range_raise_naming_the_vertex():
 def test_finite_maps_whose_c_t_overflows_raise_naming_the_vertex(ex2_system):
     # the map table holds only finite coefficients: the stencil finds c t
     maps = list(ex2_system.maps_for(2))
-    maps[2] = dataclasses.replace(maps[2], c=1e308)
+    maps[2] = maps[2]._replace(c=1e308)
     broken = dataclasses.replace(ex2_system, maps=(ex2_system.maps_for(1), tuple(maps)))
     family = initial_family(broken, 16)
     with warnings.catch_warnings():
