@@ -237,7 +237,8 @@ def chaos_game(
     vertex's first `burn_in` emissions are discarded. Fully deterministic
     for a given seed: the picks are those of `integers(1, n + 1)` and then
     `integers(0, maps)` on `np.random.default_rng(seed)`, all drawn by one
-    array call of NumPy's own (see `_draws`). When a step leaves the float
+    array call of NumPy's own (see `_draws`). The walk reads `system.maps`
+    as it is, with finite coefficients; when a step still leaves the float
     range, burn-in or not, raises ValueError naming the vertex whose map
     first took a finite point past it.
     """
@@ -246,10 +247,9 @@ def chaos_game(
     if total_points <= burn_in:
         raise ValueError("total_points must exceed burn_in")
     n = system.n
-    table = system.table
-    vertex, index = _draws(seed, n, [len(maps) for _, _, maps, _, _ in table], total_points)
-    rows = [(a, c, d, e, f, source - 1, target) for target, (_, _, maps, _, _) in enumerate(table)
-            for a, c, d, e, f, source in maps]
+    vertex, index = _draws(seed, n, [len(row) for row in system.maps], total_points)
+    rows = [(a, c, d, e, f, source - 1, target) for target, row in enumerate(system.maps)
+            for a, c, d, e, f, source in row]
     current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
     points = np.empty((total_points, 2))
     for lo in range(0, total_points, _WALK_BLOCK):

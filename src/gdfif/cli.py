@@ -80,6 +80,7 @@ class ProjectConfig:
     condition3_mode: str
     outputs: tuple[tuple[str, str], ...]
     outdir: str | None
+    inputs: tuple[Path, ...]  # the config file and the data CSVs it reads
 
 
 def bundled_config_path(name: str) -> Path | None:
@@ -331,6 +332,7 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
         condition3_mode=mode,
         outputs=outputs,
         outdir=_text(raw["outdir"], "outdir") if "outdir" in raw else None,
+        inputs=(path, *(path.parent / str(e["csv"]) for e in raw["datasets"] if "csv" in e)),
         **settings,
     )
 
@@ -400,7 +402,16 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
 
 
 def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
-    """Solve, iterate the attractor and write the artifacts; `run` adds the summary."""
+    """Solve, iterate the attractor and write the artifacts; `run` adds the summary.
+
+    An output that resolves to the config file or a data CSV it reads is a
+    ConfigError, raised before the solve.
+    """
+    inputs = {os.path.realpath(p): p for p in cfg.inputs}
+    for key, rel in cfg.outputs:
+        named = inputs.get(os.path.realpath(outdir / rel))
+        if named is not None:
+            raise ConfigError(f"outputs.{key} names {str(named)!r}, an input of this config")
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
     result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
     clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -198,14 +199,14 @@ class _Transfer:
     row's copy of its knot is, and the last row's end is clipped away. So
     v[j + 1] is always the element after v[j], and the two copies of a knot
     hold equal values. Otherwise it reads the values of the grids
-    `sources`, laid end to end.
+    `sources`, laid end to end. It reads its maps from `system.maps` as is.
     """
 
     _CHUNK = 16384  # pullbacks per gather: the chunk buffers stay in cache
 
     def __init__(self, system: GifsSystem, resolution: int, sources=None):
         datasets = system.datasets
-        maps = np.array([m for _, _, row, _, _ in system.table for m in row])
+        maps = np.fromiter(chain.from_iterable(chain(*system.maps)), float).reshape(-1, 6)
         a, c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
         # the abscissas in C order, unlike the blocks, so that row slices are views
@@ -438,11 +439,10 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     an abscissa that is exactly a knot, at the top or anywhere down the
     chain with depth left, takes the knot's ordinate: knots evaluate to
     their data ordinates at every depth, free of the round-off that further
-    pullbacks would amplify. The walk reads the system's cached map table
-    (`GifsSystem.table`): each vertex's knot lists and domain ends, and its
-    `AffineMap` tuples themselves, unpacked as (a, c, d, e, f, source). A
-    value past the float range, or a depth past _MAX_DEPTH, raises
-    ValueError.
+    pullbacks would amplify. The walk reads its cache `GifsSystem.table` by
+    vertex number: knot lists, domain ends and the `AffineMap` tuples
+    themselves, unpacked as (a, c, d, e, f, source). A value past the float
+    range, or a depth past _MAX_DEPTH, raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -451,29 +451,29 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     if not 1 <= alpha <= system.n:
         raise ValueError(f"vertex {alpha} is outside 1..{system.n}")
     table = system.table
-    xs, fs, maps, lo, hi = table[alpha - 1]
+    xs, fs, maps, lo, hi = table[alpha]
     x = float(x)
     if not lo <= x <= hi:
         raise ValueError(f"x = {x:g} is outside [{lo:g}, {hi:g}] for vertex {alpha}")
-    chain = []
+    levels = []
     for _ in range(depth):
         i = bisect_left(xs, x)
         if xs[i] == x:
             value = fs[i]
             break
         a, c, d, e, f, source = maps[i - 1]
-        xs, fs, maps, lo, hi = table[source - 1]
+        xs, fs, maps, lo, hi = table[source]
         t = (x - e) / a
         # round-off can push the pullback a few ulp past the source domain
         if t < lo:
             t = lo
         elif t > hi:
             t = hi
-        chain.append((c, d, f, t))
+        levels.append((c, d, f, t))
         x = t
     else:
         value = fs[0] + (x - xs[0]) * (fs[-1] - fs[0]) / (xs[-1] - xs[0])
-    for c, d, f, t in reversed(chain):
+    for c, d, f, t in reversed(levels):
         value = c * t + d * value + f
     if not math.isfinite(value):
         raise ValueError(f"the maps of vertex {alpha} leave the float range")

@@ -83,8 +83,9 @@ def transform_points(m: AffineMap, points: np.ndarray, out: np.ndarray | None = 
 class GifsSystem:
     """Data sets and the full family of affine maps, checked where it is made.
 
-    `maps[k]` holds vertex k+1's maps in interval order. `build_system` runs
-    `validate` first, for the hypotheses that `__post_init__` leaves out.
+    `maps[k]` holds vertex k+1's maps in interval order, each with finite
+    `a, c, e, f` and `a > 0`, so the kernels read them as they are.
+    `build_system` runs `validate` first, for what `__post_init__` leaves out.
     """
 
     datasets: tuple[DataSet, ...]
@@ -110,6 +111,8 @@ class GifsSystem:
                     raise ValueError(
                         f"interval {i} of vertex {alpha} names source vertex "
                         f"{m.source_vertex}, valid range is 1..{n}")
+            if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in row):
+                raise ValueError(f"the maps of vertex {alpha} leave the float range")
 
     @property
     def r(self) -> float:
@@ -128,20 +131,16 @@ class GifsSystem:
 
     @cached_property
     def table(self) -> tuple[tuple, ...]:
-        """`table[k]` is (xs, fs, maps, lo, hi) for vertex k+1, built on first use.
+        """`evaluate_exact`'s per-vertex cache, built on first use.
 
-        `xs` and `fs` are its knot abscissas and ordinates as lists of
-        floats, `maps` is `self.maps[k]` itself, and [lo, hi] is its domain.
-        Raises ValueError naming the first vertex with a map whose
-        coefficients overflowed or whose `a` underflowed to 0.
+        `table[alpha]` is (xs, fs, maps, lo, hi) for vertex alpha and
+        `table[0]` is None: the knot abscissas and ordinates as lists of
+        floats, `self.maps_for(alpha)` itself, and the domain [lo, hi].
         """
-        for alpha, maps in enumerate(self.maps, start=1):
-            if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in maps):
-                raise ValueError(f"the maps of vertex {alpha} leave the float range")
-        return tuple(
+        return (None, *(
             ([x for x, _ in ds.points], [F for _, F in ds.points], maps, ds.first[0], ds.last[0])
             for ds, maps in zip(self.datasets, self.maps)
-        )
+        ))
 
 
 def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSystem:

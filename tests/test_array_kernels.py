@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from gdfif import (
+    USED_EDGES_MODE,
     AttractorCloud,
     DataSet,
     GifsSystem,
@@ -859,13 +860,37 @@ def _malformed(case):
         "source-0": lambda: GifsSystem(s.datasets, _relabel(s.maps, 1, 2, source_vertex=0)),
         "source-n-plus-1": lambda: GifsSystem(
             s.datasets, _relabel(s.maps, 3, 1, source_vertex=4)),
+        # vertex 2's e = (uS p - u0 q) / du overflows
+        "build-e-overflows": lambda: build_system(
+            [DataSet(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))),
+             DataSet(((0.0, 0.0), (1e308, 1.5e308), (1.7e308, -1.5e308)))],
+            WiringPlan.from_pairs([[(1, 0.5)] * 2, [(2, 0.5)] * 2]), USED_EDGES_MODE),
+        # vertex 2's intervals, 1e-323 wide, read vertex 1's span of 3e150
+        "build-a-underflows": lambda: build_system(
+            [DataSet(((0.0, 0.0), (1e150, 1.0), (2e150, 0.0), (3e150, 1.0))),
+             DataSet(((0.0, 0.0), (1e-323, 1.0), (2e-323, 0.0)))],
+            WiringPlan.from_pairs([[(1, 0.5)] * 3, [(1, 0.5)] * 2]), USED_EDGES_MODE),
+        "direct-e-overflows": lambda: GifsSystem(
+            s.datasets, _relabel(s.maps, 2, 3, e=1e308 * 10)),
+        "direct-a-underflows": lambda: GifsSystem(
+            s.datasets, _relabel(s.maps, 2, 3, a=5e-324 / 2)),
+        "replace-e-overflows": lambda: dataclasses.replace(
+            s, maps=_relabel(s.maps, 2, 3, e=-1e308 * 10)),
+        "replace-a-underflows": lambda: dataclasses.replace(
+            s, maps=_relabel(s.maps, 2, 3, a=5e-324 / 2)),
     }[case]
+
+
+VERTEX_2_FLOAT_RANGE = "^the maps of vertex 2 leave the float range$"
 
 
 @pytest.mark.parametrize("case, names", [
     ("no-data-sets", "at least one data set"), ("too-few-map-tuples", r"\bvertex 3\b"),
     ("one-map-for-two-intervals", r"\bvertex 3\b"), ("two-point-data-set", r"\bvertex 3\b"),
     ("source-0", r"\bvertex 1\b"), ("source-n-plus-1", r"\bvertex 3\b"),
+    ("build-e-overflows", VERTEX_2_FLOAT_RANGE), ("build-a-underflows", VERTEX_2_FLOAT_RANGE),
+    ("direct-e-overflows", VERTEX_2_FLOAT_RANGE), ("direct-a-underflows", VERTEX_2_FLOAT_RANGE),
+    ("replace-e-overflows", VERTEX_2_FLOAT_RANGE), ("replace-a-underflows", VERTEX_2_FLOAT_RANGE),
 ])
 def test_a_malformed_system_is_refused_where_it_is_made(case, names):
     # Each message names the offending vertex, when the system has one.
@@ -1093,12 +1118,14 @@ def test_a_directly_built_system_builds_its_map_table_once_on_first_use(rng):
     assert "table" not in vars(system)
     table = system.table
     assert system.table is table
-    for alpha, (xs, fs, maps, lo, hi) in enumerate(table, start=1):
+    assert len(table) == system.n + 1 and table[0] is None
+    for alpha in range(1, system.n + 1):
+        xs, fs, maps, lo, hi = table[alpha]
         ds = system.dataset(alpha)
         assert (xs, fs) == (ds.xs.tolist(), ds.fs.tolist())
         assert maps is system.maps_for(alpha)
         assert (lo, hi) == (ds.first[0], ds.last[0])
-    assert [len(maps) for _, _, maps, _, _ in table] == [5, 4, 2]
+    assert [len(maps) for _, _, maps, _, _ in table[1:]] == [5, 4, 2]
     assert_same_exact(system, rng)
     assert_same_chaos(system, 3001, 25, 7)
     assert system.table is table

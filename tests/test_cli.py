@@ -827,6 +827,25 @@ def test_two_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("outputs, outdir, named", [
+    ("{cloud_csv: data.csv}", None, "outputs.cloud_csv names 'data.csv'"),
+    ("{csv: c.csv, summary: cfg.yaml}", ".", "outputs.summary names 'cfg.yaml'"),
+], ids=["cloud-csv-over-data-csv", "summary-over-config"])
+def test_an_output_that_names_an_input_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                         outputs, outdir, named):
+    # The run overwrote its input without a word: the data CSV, so that the
+    # next run exited 1, or the config itself.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x,y\n0,0\n1,1\n2,0\n")
+    text = MINIMAL.replace("points: [[0, 0], [1, 1], [2, 0]]", "csv: data.csv")
+    write_config(tmp_path, text + f"outputs: {outputs}\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for command in ("run", "render"):
+        assert main([command, "cfg.yaml", "--outdir", outdir or str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {named}, an input of this config\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
     text = MINIMAL + "attractor: {chaos_points: 101, burn_in: 100}\n"
     assert load_config(write_config(tmp_path, text)).chaos_points == 101
