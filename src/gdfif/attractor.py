@@ -250,18 +250,23 @@ def chaos_game(
     vertex, index = _draws(seed, n, [len(row) for row in system.maps], total_points)
     rows = [(a, c, d, e, f, source - 1, target) for target, row in enumerate(system.maps)
             for a, c, d, e, f, source in row]
-    current = [system.dataset(alpha).first for alpha in range(1, n + 1)]
+    # Each vertex's current point, its x in cx and its y in cy. A block's
+    # images go into one list, x and y in turn, as flat holds the rows.
+    cx, cy = (list(col) for col in zip(*(ds.first for ds in system.datasets)))
     points = np.empty((total_points, 2))
+    flat = points.reshape(-1)
     for lo in range(0, total_points, _WALK_BLOCK):
         walk = []
-        append = walk.append
+        add = walk.append
         # transform_points's products and sums; addition commutes, so the same rounding.
         for a, c, d, e, f, source, target in map(
                 rows.__getitem__, index[lo:lo + _WALK_BLOCK].tolist()):
-            x, y = current[source]
-            current[target] = point = (a * x + e, c * x + d * y + f)
-            append(point)
-        points[lo:lo + len(walk)] = walk
+            x = cx[source]
+            cy[target] = y = c * x + d * cy[source] + f
+            cx[target] = x = a * x + e
+            add(x)
+            add(y)
+        flat[2 * lo:2 * lo + len(walk)] = walk
     if not np.isfinite((points.min(), points.max())).all():
         # the walk's first point past the range had a finite source
         first = np.argmin(np.isfinite(points).all(axis=1))

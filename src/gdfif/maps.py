@@ -84,7 +84,8 @@ class GifsSystem:
     """Data sets and the full family of affine maps, checked where it is made.
 
     `maps[k]` holds vertex k+1's maps in interval order, each with finite
-    `a, c, e, f` and `a > 0`, so the kernels read them as they are.
+    `a, c, e, f`, `a > 0` and `|d| < 1`, so the kernels read them as they
+    are and `r < 1`.
     `build_system` runs `validate` first, for what `__post_init__` leaves out.
     """
 
@@ -111,6 +112,9 @@ class GifsSystem:
                     raise ValueError(
                         f"interval {i} of vertex {alpha} names source vertex "
                         f"{m.source_vertex}, valid range is 1..{n}")
+                if not abs(m.d) < 1.0:  # NaN compares false too
+                    raise ValueError(f"interval {i} of vertex {alpha} has |d| = {abs(m.d):g}, "
+                                     "must be < 1")
             if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in row):
                 raise ValueError(f"the maps of vertex {alpha} leave the float range")
 

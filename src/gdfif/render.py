@@ -46,37 +46,58 @@ def export_csv(path, family=None, clouds=None) -> None:
     Exactly one of `family` (curve samples) or `clouds` (attractor points)
     must be given. Each row reads "%d,%.17g,%.17g" % (vertex, x, y), byte
     for byte, and 17 significant digits round-trip every float exactly.
-    The floats that `%g` prints in fixed notation are written from exact
-    digit tables (see `_fixed_fields`); the others (zeros, |v| below 1e-4
-    or from 1e17 up, NaN and the infinities) are formatted by `%` in place.
+    Rows that tie on (vertex, x, y), as -0.0 and 0.0 do, keep the order of
+    the input, a vertex's parts taken in the order given. The floats that
+    `%g` prints in fixed notation are written from exact digit tables (see
+    `_fixed_fields`); the others (zeros, |v| below 1e-4 or from 1e17 up,
+    NaN and the infinities) are formatted by `%` in place.
     """
     if (family is None) == (clouds is None):
         raise ValueError("pass exactly one of family or clouds")
     if family is not None:
-        parts = [(np.full(fn.grid.size, fn.vertex), fn.grid, fn.values) for fn in family]
+        parts = [(fn.vertex, fn.grid, fn.values) for fn in family]
     else:
-        parts = [(np.full(len(c), c.vertex), c.points[:, 0], c.points[:, 1]) for c in clouds]
-    vertex, x, y = (np.concatenate(col) for col in zip(*parts)) if parts else (np.empty(0),) * 3
-    # Stable, and -0.0 ties with 0.0, exactly as sorting (vertex, x, y) tuples does.
-    order = np.lexsort((y, x, vertex))
-    vertex, x, y = vertex[order], x[order], y[order]
+        parts = [(c.vertex, c.points[:, 0], c.points[:, 1]) for c in clouds]
     with open(path, "wb") as fh:
         fh.write(b"vertex,x,y\n")
-        for lo in range(0, len(order), _CSV_BLOCK):
-            hi = lo + _CSV_BLOCK
-            fh.write(_csv_rows(vertex[lo:hi], np.column_stack((x[lo:hi], y[lo:hi]))))
+        for vertex in sorted({v for v, _, _ in parts}):
+            columns = [(px, py) for v, px, py in parts if v == vertex]
+            x, y = (np.concatenate(col) for col in zip(*columns))
+            order = _row_order(x, y)
+            label = b"%d" % vertex
+            for lo in range(0, len(x), _CSV_BLOCK):
+                rows = slice(lo, lo + _CSV_BLOCK) if order is None else order[lo:lo + _CSV_BLOCK]
+                fh.write(_csv_rows(label, np.column_stack((x[rows], y[rows]))))
 
 
-def _csv_rows(vertex, xy) -> bytes:
-    """The bytes of "%d,%.17g,%.17g\n" over the rows of (vertex, xy), whose
-    vertices come in runs; each run's label is formatted once.
+def _row_order(x, y):
+    """The stable order of one vertex's rows by (x, y), or None when x
+    strictly ascends, as it does on every curve grid.
+
+    A quicksort of x alone, whose runs of equal x (-0.0 and 0.0, or two
+    infinities, among them) are then put in (y, row) order by one lexsort
+    over the rows in those runs. NaN equals nothing, so an x that holds
+    one takes the two-key lexsort, which puts it last.
     """
-    starts = np.r_[0, np.flatnonzero(np.diff(vertex)) + 1, len(vertex)]
-    labels = [b"%d" % k for k in vertex[starts[:-1]].tolist()]
-    width = max(map(len, labels))
+    if (x[1:] > x[:-1]).all():
+        return None
+    if np.isnan(x).any():
+        return np.lexsort((y, x))
+    order = np.argsort(x)
+    sorted_x = x[order]
+    tie = sorted_x[1:] == sorted_x[:-1]
+    after = np.r_[False, tie]  # equal to the x before; a run starts where it is not
+    at = np.flatnonzero(after | np.r_[tie, False])
+    rows = order[at]
+    order[at] = rows[np.lexsort((rows, y[rows], np.cumsum(~after[at])))]
+    return order
+
+
+def _csv_rows(label, xy) -> bytes:
+    """The bytes of "%s,%.17g,%.17g\n" % (label, x, y) over the rows of xy."""
+    width = len(label)
     line = np.zeros((len(xy), width + 2 * _FIELD + 3), dtype=np.uint8)
-    for label, lo, hi in zip(labels, starts, starts[1:]):
-        line[lo:hi, :len(label)] = np.frombuffer(label, dtype=np.uint8)
+    line[:, :width] = np.frombuffer(label, dtype=np.uint8)
     fields, fixed = _fixed_fields(xy.ravel())
     other = ~fixed
     fields[other] = _PERCENT_FIELD

@@ -745,11 +745,72 @@ def test_export_csv_matches_tuple_sort_reference(ex2_system, rng, tmp_path):
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
 
 
+def _signed(rng, values):
+    """values with the sign of each flipped at random, so zeros come as 0.0 and -0.0."""
+    return np.where(rng.random(len(values)) < 0.5, values, -values)
+
+
+def test_export_csv_sorts_each_vertex_as_the_tuple_sort_reference(rng, tmp_path):
+    # 25,000 rows over about 50 x values: the runs of equal x are about 500
+    # rows long, so some straddle the 10,000-row block, and x and y hold
+    # both signed zeros, whose rows keep their input order.
+    n = 25_000
+    x = _signed(rng, rng.integers(-25, 26, n) * 0.5)
+    y = _signed(rng, rng.integers(-3, 4, n) * 0.25)
+    tied = np.column_stack((x, y))
+    assert np.sort(x)[render._CSV_BLOCK - 1] == np.sort(x)[render._CSV_BLOCK]
+    inf = np.inf
+    infinite = np.array([[inf, 1.0], [-inf, 0.0], [inf, -0.0], [-inf, -0.0], [inf, 0.0],
+                         [-inf, -2.0], [0.0, 0.0], [inf, -inf], [-inf, inf], [inf, 1.0]])
+    part = [tied[k::3][:40] for k in range(3)]
+    wide = _chaos_system("wide")
+    cases = [
+        dict(clouds=(AttractorCloud(1, tied, 0),)),
+        # vertex 2 in three parts, given after vertex 1 and between its parts
+        dict(clouds=(AttractorCloud(2, part[2], 0), AttractorCloud(1, part[0], 0),
+                     AttractorCloud(2, part[1][::-1], 0), AttractorCloud(2, part[0], 0))),
+        dict(clouds=(AttractorCloud(1, infinite, 0), AttractorCloud(2, infinite[::-1], 0))),
+        # x ascends, but not strictly
+        dict(clouds=(AttractorCloud(1, [[0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, -0.0],
+                                        [1.0, 0.0], [2.0, 5.0]], 0),)),
+        # a walk's exact ties in x, a few hundred per vertex
+        dict(clouds=chaos_game(wide, 20_000, 0, 5)),
+    ]
+    for k, case in enumerate(cases):
+        export_csv(tmp_path / f"new{k}.csv", **case)
+        export_csv_reference(tmp_path / f"ref{k}.csv", **case)
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+    # NaN compares neither less nor greater in the tuple sort, so the
+    # three-key sort of the `%` writer says where its rows go: last, in
+    # (y, row) order.
+    nan = np.nan
+    with_nan = np.array([[nan, 1.0], [0.0, 2.0], [nan, -0.0], [-0.0, 1.0], [nan, 0.0],
+                         [nan, -1.0], [1.0, 0.0], [0.0, 2.0], [nan, 1.0]])
+    assert_export_csv_matches_percent(tmp_path, clouds=(AttractorCloud(1, with_nan, 0),))
+
+
+def test_a_family_export_sorts_nothing(ex2_system, tmp_path, monkeypatch):
+    # Every curve grid ascends strictly in x, so its rows go out as they are.
+    family = fixed_point(ex2_system, 64, 1e-9, 200).family
+    calls = []
+
+    def spy(name):
+        sort = getattr(np, name)
+        return lambda *args, **kwargs: calls.append(name) or sort(*args, **kwargs)
+
+    for name in ("argsort", "lexsort"):
+        monkeypatch.setattr(np, name, spy(name))
+    export_csv(tmp_path / "new.csv", family=family)
+    assert calls == []
+    export_csv_reference(tmp_path / "ref.csv", family=family)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def assert_csv_rows_match_percent(values):
     """`_csv_rows` against "%d,%.17g,%.17g\\n" applied row by row."""
     xy = np.column_stack((values, values[::-1]))
     want = [b"%d,%.17g,%.17g\n" % (1, x, y) for x, y in xy.tolist()]
-    got = render._csv_rows(np.ones(len(xy), dtype=np.int64), xy).splitlines(keepends=True)
+    got = render._csv_rows(b"1", xy).splitlines(keepends=True)
     assert len(got) == len(want)
     bad = [(x, y, g) for (x, y), g, w in zip(xy.tolist(), got, want) if g != w]
     assert not bad, bad[:5]
@@ -899,6 +960,18 @@ def test_a_malformed_system_is_refused_where_it_is_made(case, names):
         build()
 
 
+@pytest.mark.parametrize("d", [np.nan, 1.0, -1.0, 1.5])
+@pytest.mark.parametrize("how", ["direct", "replace"])
+def test_a_vertical_factor_of_one_or_more_is_refused_where_the_system_is_made(how, d):
+    # The words of validate's wiring/factor rule. A NaN d would hide from
+    # `r`, since max skips the NaN that abs returns.
+    s = _three_vertex_system()
+    maps = _relabel(s.maps, 2, 3, d=d)
+    with pytest.raises(ValueError, match=rf"^interval 3 of vertex 2 has \|d\| = {abs(d):g}, "
+                                         r"must be < 1$"):
+        GifsSystem(s.datasets, maps) if how == "direct" else dataclasses.replace(s, maps=maps)
+
+
 def test_a_malformed_system_is_refused_under_python_O():
     # The checks raise, so `python -O`, which strips asserts, keeps them.
     code = (
@@ -943,6 +1016,16 @@ def test_chaos_game_matches_loop_reference(name):
     # The largest burn-in a one-vertex system allows keeps one point.
     if system.n == 1:
         assert_same_chaos(system, 500, 499, 3)
+
+
+@pytest.mark.parametrize("steps", [attractor._WALK_BLOCK + 1, 2 * attractor._WALK_BLOCK + 1])
+@pytest.mark.parametrize("name", ["wide", "three-vertex"])
+def test_chaos_game_matches_loop_reference_across_walk_blocks(name, steps):
+    # The walk fills its points a block at a time, carrying each vertex's
+    # current point over the seams.
+    system = _chaos_system(name)
+    for burn_in in (0, 25):
+        assert_same_chaos(system, steps, burn_in, 11)
 
 
 def draws_reference(seed, n, counts, steps):
