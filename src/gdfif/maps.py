@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import STRICT_MODE, DataSet, WiringPlan, validate
+from .model import STRICT_MODE, DataSet, WiringPlan, validate, vertex_violations
 
 
 class AffineMap(NamedTuple):
@@ -83,10 +83,11 @@ def transform_points(m: AffineMap, points: np.ndarray, out: np.ndarray | None = 
 class GifsSystem:
     """Data sets and the full family of affine maps, checked where it is made.
 
-    `maps[k]` holds vertex k+1's maps in interval order, each with finite
-    `a, c, e, f`, `a > 0` and `|d| < 1`, so the kernels read them as they
-    are and `r < 1`.
-    `build_system` runs `validate` first, for what `__post_init__` leaves out.
+    `maps[k]` holds vertex k+1's maps in interval order. The constructor
+    raises the first violation of `vertex_violations`' per-vertex rules,
+    in `validate`'s words, then requires finite `a, c, e, f` and
+    `0 < a < 1`. So the kernels read the maps as they are, and `r < 1`.
+    `build_system` runs `validate` first, for the width rule.
     """
 
     datasets: tuple[DataSet, ...]
@@ -101,22 +102,13 @@ class GifsSystem:
             raise ValueError(f"{len(self.maps)} map tuples for {n} data sets: vertex {k} has "
                              + ("no maps" if k <= n else "no data set"))
         for alpha, (ds, row) in enumerate(zip(self.datasets, self.maps), start=1):
-            if len(ds.points) < 3:
-                raise ValueError(
-                    f"the data set of vertex {alpha} has {len(ds.points)} points, need at least 3")
-            if len(row) != ds.n_intervals:
-                raise ValueError(
-                    f"vertex {alpha} has {len(row)} maps for {ds.n_intervals} intervals")
-            for i, m in enumerate(row, start=1):
-                if not 1 <= m.source_vertex <= n:
-                    raise ValueError(
-                        f"interval {i} of vertex {alpha} names source vertex "
-                        f"{m.source_vertex}, valid range is 1..{n}")
-                if not abs(m.d) < 1.0:  # NaN compares false too
-                    raise ValueError(f"interval {i} of vertex {alpha} has |d| = {abs(m.d):g}, "
-                                     "must be < 1")
+            for v in vertex_violations(alpha, n, ds, [(m.source_vertex, m.d) for m in row]):
+                raise ValueError(v.message)
             if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in row):
                 raise ValueError(f"the maps of vertex {alpha} leave the float range")
+            for i, m in enumerate(row, start=1):
+                if not m.a < 1:
+                    raise ValueError(f"interval {i} of vertex {alpha} has a = {m.a:g}, must be < 1")
 
     @property
     def r(self) -> float:
@@ -153,8 +145,9 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
     Raises InvalidSystemError, a ValueError, when validation reports any
     violation; its message carries the first few violation messages and
     its `report` the full ValidationReport. On success the returned
-    system's maps satisfy the endpoint constraints to round-off and every
-    horizontal coefficient obeys 0 < a < 1.
+    system's maps satisfy the endpoint constraints to round-off, and the
+    width rule, each data set's own span included, gives every map
+    0 < a < 1 after rounding too.
     """
     report = validate(datasets, plan, mode)
     if not report.ok:

@@ -25,9 +25,9 @@ CONDITION3_MODES = (STRICT_MODE, USED_EDGES_MODE)
 class DataSet:
     """Ordered interpolation points (x_j, F_j) for one vertex.
 
-    Downstream construction needs at least 3 points with strictly increasing
-    abscissas: `validate` checks both, and a `GifsSystem` the count where it
-    is made, so that suspect input can still be loaded and diagnosed.
+    Downstream construction needs at least 3 finite points with strictly
+    increasing abscissas. `validate` and a `GifsSystem` check that, not the
+    data set, so that suspect input can still be loaded and diagnosed.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -115,9 +115,10 @@ class WiringPlan:
 class Violation:
     """One failed check: a stable code, a human message, and the indices involved.
 
-    Codes in use: points/count, points/finite, points/order, wiring/source,
-    wiring/factor, wiring/length, data/width-ratio. For data/width-ratio the
-    indices are (span_vertex, width_vertex, interval).
+    Codes in use: points/count, points/finite, points/order, wiring/length,
+    wiring/source, wiring/factor (the per-vertex rules of
+    `vertex_violations`, whose messages a `GifsSystem` raises too) and
+    data/width-ratio, whose indices are (span_vertex, width_vertex, interval).
     """
 
     code: str
@@ -136,17 +137,51 @@ class ValidationReport:
         return tuple(v.code for v in self.violations)
 
 
+def vertex_violations(alpha: int, n: int, ds: DataSet, wiring):
+    """Yield vertex alpha's violations of the per-vertex rules, in report order.
+
+    `ds` is the vertex's data set and `wiring` holds one (source, d) pair per
+    interval, in a system of n vertices. The rules: at least 3 points, finite
+    coordinates, strictly increasing abscissas, one pair per interval, a
+    source in 1..n and |d| < 1. `validate` reports every violation and a
+    `GifsSystem` raises the first, so each rule has one wording.
+    """
+    points = ds.points
+    if len(points) < 3:
+        yield Violation("points/count", f"the data set of vertex {alpha} has {len(points)} "
+                                        "points, need at least 3", (alpha,))
+    for j, (x, F) in enumerate(points):
+        if not (math.isfinite(x) and math.isfinite(F)):
+            yield Violation("points/finite", f"point {j} of data set {alpha} has a non-finite "
+                                             "coordinate", (alpha, j))
+    for j in range(1, len(points)):
+        if not points[j][0] > points[j - 1][0]:
+            yield Violation("points/order", f"abscissas of data set {alpha} are not strictly "
+                                            f"increasing at index {j}", (alpha, j))
+    if len(wiring) != ds.n_intervals:
+        yield Violation("wiring/length", f"vertex {alpha} has {len(wiring)} maps for "
+                                         f"{ds.n_intervals} intervals", (alpha,))
+    for i, (source, d) in enumerate(wiring, start=1):
+        if not 1 <= source <= n:
+            yield Violation("wiring/source", f"interval {i} of vertex {alpha} names source "
+                                             f"vertex {source}, valid range is 1..{n}", (alpha, i))
+        if not abs(d) < 1.0:  # NaN compares false too
+            yield Violation("wiring/factor",
+                            f"interval {i} of vertex {alpha} has |d| = {abs(d):g}, must be < 1",
+                            (alpha, i))
+
+
 def validate(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> ValidationReport:
     """Check every hypothesis the construction needs; report, don't raise.
 
-    Checks per data set: point count >= 3, finite coordinates, strictly
-    increasing abscissas. Checks per assignment: source in range, |d| < 1,
-    assignment count equal to the interval count. Cross-data-set check: every
-    interval must be narrower than the span of every other data set (strict
-    mode) or of each data set it exchanges values with (used-edges mode,
-    where only wired source/target pairs are held to the rule). Strong
-    connectivity of the induced digraph is reported as information, not as a
-    violation.
+    Reports every violation of `vertex_violations`' per-vertex rules: the
+    point rules of every data set first, then the wiring rules of every
+    vertex. Then the width rule: every interval must be narrower than the
+    span of every data set, its own included (strict mode), or of each data
+    set it is wired to (used-edges mode, where only wired source/target
+    pairs are held to the rule). That makes every map's `a` lie in (0, 1)
+    even after rounding. Strong connectivity of the induced digraph is
+    reported as information, not as a violation.
 
     Raises ValueError only for structural errors: empty input, unknown mode,
     or a vertex-count mismatch between `datasets` and `plan`.
@@ -163,52 +198,10 @@ def validate(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> ValidationR
 
     n = plan.n
     violations: list[Violation] = []
-
-    for alpha, ds in enumerate(datasets, start=1):
-        if len(ds.points) < 3:
-            violations.append(Violation(
-                "points/count",
-                f"data set {alpha} has {len(ds.points)} points, need at least 3",
-                (alpha,),
-            ))
-        for j, (x, F) in enumerate(ds.points):
-            if not (math.isfinite(x) and math.isfinite(F)):
-                violations.append(Violation(
-                    "points/finite",
-                    f"point {j} of data set {alpha} has a non-finite coordinate",
-                    (alpha, j),
-                ))
-        for j in range(1, len(ds.points)):
-            if not ds.points[j][0] > ds.points[j - 1][0]:
-                violations.append(Violation(
-                    "points/order",
-                    f"abscissas of data set {alpha} are not strictly increasing at index {j}",
-                    (alpha, j),
-                ))
-
-    for alpha, row in enumerate(plan.assignments, start=1):
-        ds = datasets[alpha - 1]
-        if len(row) != ds.n_intervals:
-            violations.append(Violation(
-                "wiring/length",
-                f"vertex {alpha} has {len(row)} interval assignments "
-                f"for {ds.n_intervals} intervals",
-                (alpha,),
-            ))
-        for i, asg in enumerate(row, start=1):
-            if not 1 <= asg.source <= n:
-                violations.append(Violation(
-                    "wiring/source",
-                    f"interval {i} of vertex {alpha} names source vertex {asg.source}, "
-                    f"valid range is 1..{n}",
-                    (alpha, i),
-                ))
-            if not (math.isfinite(asg.d) and abs(asg.d) < 1.0):
-                violations.append(Violation(
-                    "wiring/factor",
-                    f"interval {i} of vertex {alpha} has |d| = {abs(asg.d):g}, must be < 1",
-                    (alpha, i),
-                ))
+    for alpha, (ds, row) in enumerate(zip(datasets, plan.assignments), start=1):
+        violations.extend(vertex_violations(alpha, n, ds, [(a.source, a.d) for a in row]))
+    # A stable sort: every data set's point violations before any wiring one.
+    violations.sort(key=lambda v: v.code.startswith("wiring/"))
 
     for span_vertex, width_vertex in sorted(_width_condition_pairs(plan, mode)):
         src = datasets[span_vertex - 1]
@@ -231,24 +224,29 @@ def validate(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> ValidationR
     )
 
 
+def _edges(plan: WiringPlan):
+    """Yield (source, target) for every assignment whose source lies in 1..n."""
+    for target, row in enumerate(plan.assignments, start=1):
+        for asg in row:
+            if 1 <= asg.source <= plan.n:
+                yield asg.source, target
+
+
 def _width_condition_pairs(plan: WiringPlan, mode: str) -> set[tuple[int, int]]:
     """Ordered (span_vertex, width_vertex) pairs the width condition covers.
 
-    Strict mode takes all ordered pairs of distinct vertices. Used-edges mode
-    takes, for each interval of a target vertex wired to a different source,
-    the pair (source, target): the target's intervals must be narrower than
-    the source's span, which is exactly what makes the horizontal part of
-    each wired map a contraction.
+    Strict mode takes all ordered pairs, self-pairs included. Used-edges mode
+    takes the pair (source, target) of every wired interval, a self-wired one
+    included: the target's intervals must be narrower than the source's span,
+    which is exactly what makes the horizontal part of each wired map a
+    contraction. A self-pair fails only when rounding makes a width equal
+    the span; without it such an interval would get a = 1.0. When the
+    rounded width is below the rounded span, their rounded quotient is at
+    most 1 - 2**-53.
     """
-    n = plan.n
     if mode == STRICT_MODE:
-        return {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b}
-    pairs = set()
-    for target, row in enumerate(plan.assignments, start=1):
-        for asg in row:
-            if 1 <= asg.source <= n and asg.source != target:
-                pairs.add((asg.source, target))
-    return pairs
+        return {(a, b) for a in range(1, plan.n + 1) for b in range(1, plan.n + 1)}
+    return set(_edges(plan))
 
 
 def _strongly_connected(plan: WiringPlan) -> bool:
@@ -256,11 +254,9 @@ def _strongly_connected(plan: WiringPlan) -> bool:
     n = plan.n
     fwd = [set() for _ in range(n)]
     rev = [set() for _ in range(n)]
-    for alpha, row in enumerate(plan.assignments):
-        for asg in row:
-            if 1 <= asg.source <= n:
-                fwd[alpha].add(asg.source - 1)
-                rev[asg.source - 1].add(alpha)
+    for source, target in _edges(plan):
+        fwd[target - 1].add(source - 1)
+        rev[source - 1].add(target - 1)
 
     def reaches_all(adj) -> bool:
         seen = {0}

@@ -45,6 +45,7 @@ from gdfif import (
     iterate_attractor,
     render_pgm,
     render_svg,
+    validate,
 )
 import gdfif
 from gdfif import attractor, render
@@ -911,6 +912,8 @@ def _relabel(maps, alpha, i, **fields):
 def _malformed(case):
     s = _three_vertex_system()
     two_points = DataSet(((0.0, 0.0), (2.0, -0.5)))
+    nan_point = ((0.0, 0.0), (1.0, np.nan), (2.0, -0.5))
+    repeated_x = ((0.0, 0.0), (0.0, 1.5), (2.0, -0.5))
     return {
         "no-data-sets": lambda: GifsSystem((), ()),
         "too-few-map-tuples": lambda: GifsSystem(s.datasets, s.maps[:2]),
@@ -939,7 +942,22 @@ def _malformed(case):
             s, maps=_relabel(s.maps, 2, 3, e=-1e308 * 10)),
         "replace-a-underflows": lambda: dataclasses.replace(
             s, maps=_relabel(s.maps, 2, 3, a=5e-324 / 2)),
+        # a map that does not contract in x
+        "direct-a-1": lambda: GifsSystem(s.datasets, _relabel(s.maps, 2, 3, a=1.0)),
+        "replace-a-1": lambda: dataclasses.replace(s, maps=_relabel(s.maps, 2, 3, a=1.0)),
+        "direct-a-1.5": lambda: GifsSystem(s.datasets, _relabel(s.maps, 2, 3, a=1.5)),
+        "replace-a-1.5": lambda: dataclasses.replace(s, maps=_relabel(s.maps, 2, 3, a=1.5)),
+        "direct-nan-point": lambda: GifsSystem(_repoint(s, nan_point), s.maps),
+        "replace-nan-point": lambda: dataclasses.replace(s, datasets=_repoint(s, nan_point)),
+        "direct-repeated-abscissa": lambda: GifsSystem(_repoint(s, repeated_x), s.maps),
+        "replace-repeated-abscissa": lambda: dataclasses.replace(
+            s, datasets=_repoint(s, repeated_x)),
     }[case]
+
+
+def _repoint(system, points):
+    """`system`'s data sets with vertex 3's points replaced."""
+    return (*system.datasets[:2], DataSet(points))
 
 
 VERTEX_2_FLOAT_RANGE = "^the maps of vertex 2 leave the float range$"
@@ -952,6 +970,13 @@ VERTEX_2_FLOAT_RANGE = "^the maps of vertex 2 leave the float range$"
     ("build-e-overflows", VERTEX_2_FLOAT_RANGE), ("build-a-underflows", VERTEX_2_FLOAT_RANGE),
     ("direct-e-overflows", VERTEX_2_FLOAT_RANGE), ("direct-a-underflows", VERTEX_2_FLOAT_RANGE),
     ("replace-e-overflows", VERTEX_2_FLOAT_RANGE), ("replace-a-underflows", VERTEX_2_FLOAT_RANGE),
+    *((f"{how}-a-{a}", f"^interval 3 of vertex 2 has a = {a}, must be < 1$")
+      for how in ("direct", "replace") for a in ("1", "1.5")),
+    *((f"{how}-nan-point", "^point 1 of data set 3 has a non-finite coordinate$")
+      for how in ("direct", "replace")),
+    *((f"{how}-repeated-abscissa",
+       "^abscissas of data set 3 are not strictly increasing at index 1$")
+      for how in ("direct", "replace")),
 ])
 def test_a_malformed_system_is_refused_where_it_is_made(case, names):
     # Each message names the offending vertex, when the system has one.
@@ -972,9 +997,36 @@ def test_a_vertical_factor_of_one_or_more_is_refused_where_the_system_is_made(ho
         GifsSystem(s.datasets, maps) if how == "direct" else dataclasses.replace(s, maps=maps)
 
 
+# Vertex 3's points, and its maps' (source, d) pairs, breaking one
+# per-vertex rule each.
+VERTEX_3_POINTS = ((0.0, 0.0), (1.0, 1.5), (2.0, -0.5))
+
+
+@pytest.mark.parametrize("code, points, wiring", [
+    ("points/count", ((0.0, 0.0), (2.0, -0.5)), [(1, 0.5)]),
+    ("points/finite", ((0.0, 0.0), (1.0, np.inf), (2.0, -0.5)), [(1, 0.5), (2, -0.3)]),
+    ("points/order", ((0.0, 0.0), (2.0, 1.5), (1.0, -0.5)), [(1, 0.5), (2, -0.3)]),
+    ("wiring/length", VERTEX_3_POINTS, [(1, 0.5)]),
+    ("wiring/source", VERTEX_3_POINTS, [(1, 0.5), (4, -0.3)]),
+    ("wiring/factor", VERTEX_3_POINTS, [(1, 0.5), (2, -1.0)]),
+])
+def test_the_constructor_raises_the_first_violation_validate_reports(code, points, wiring):
+    s = _three_vertex_system()
+    datasets = _repoint(s, points)
+    row = tuple(s.maps[2][0]._replace(source_vertex=source, d=d) for source, d in wiring)
+    maps = (*s.maps[:2], row)
+    plan = WiringPlan.from_pairs([[(m.source_vertex, m.d) for m in r] for r in maps])
+    first = validate(datasets, plan).violations[0]
+    assert first.code == code
+    with pytest.raises(ValueError) as exc:
+        GifsSystem(datasets, maps)
+    assert str(exc.value) == first.message
+
+
 def test_a_malformed_system_is_refused_under_python_O():
     # The checks raise, so `python -O`, which strips asserts, keeps them.
     code = (
+        "import sys\n"
         "from gdfif import DataSet, GifsSystem, WiringPlan, build_system\n"
         "s = build_system([DataSet(((0, 0), (1, 1), (2, 0)))],\n"
         "                 WiringPlan.from_pairs([[(1, 0.5), (1, 0.5)]]))\n"
@@ -982,11 +1034,16 @@ def test_a_malformed_system_is_refused_under_python_O():
         "    GifsSystem(s.datasets, (s.maps[0][:1],))\n"
         "except ValueError as exc:\n"
         "    print(__debug__, exc)\n"
+        "try:\n"
+        "    GifsSystem((DataSet(((0, 0), (0, 1), (2, 0))),), s.maps)\n"
+        "except ValueError as exc:\n"
+        "    print(__debug__, exc, file=sys.stderr)\n"
     )
     src = str(Path(gdfif.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert done.stdout == "False vertex 1 has 1 maps for 2 intervals\n"
+    assert done.stderr == "False abscissas of data set 1 are not strictly increasing at index 1\n"
 
 
 def _chaos_system(name):

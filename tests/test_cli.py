@@ -928,6 +928,28 @@ def test_violating_config_prints_the_validate_report(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
+# Interval 2, 1 - 1e-20 wide, rounds to the data set's own span 1.0.
+ROUNDED_SELF_WIDTH = """\
+datasets:
+  - points: [[0, 0], [1.0e-20, 0.5], [1, 1]]
+wiring:
+  - intervals:
+      - {source: 1, d: 0.5}
+      - {source: 1, d: 0.5}
+"""
+
+
+@pytest.mark.parametrize("mode", CONDITION3_MODES)
+def test_an_interval_as_wide_as_its_own_span_fails_validate_and_run(tmp_path, capsys, mode):
+    cfg = str(write_config(tmp_path, ROUNDED_SELF_WIDTH))
+    assert main(["validate", cfg, "--condition3-mode", mode]) == 1
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert [(v["code"], v["indices"]) for v in violations] == [("data/width-ratio", [1, 1, 2])]
+    assert main(["run", cfg, "--condition3-mode", mode, "--outdir", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
 def _report_dict(report) -> dict:
     """The validation report's JSON object, field by field: the reference serialiser."""
     return {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gdfif import (
+    CONDITION3_MODES,
     AffineMap,
     DataSet,
     InvalidSystemError,
@@ -158,6 +159,17 @@ def test_invalid_system_error_carries_the_report():
     assert isinstance(exc.value, ValueError)
     assert exc.value.report == validate([narrow, wide], plan)
     assert "data/width-ratio" in exc.value.report.codes()
+
+
+@pytest.mark.parametrize("mode", CONDITION3_MODES)
+def test_an_interval_as_wide_as_its_own_span_is_refused(mode):
+    # Interval 2 is 1 - 1e-20 wide, which rounds to the span 1.0: its map
+    # would get a = 1.0 and not contract.
+    ds = DataSet(((0.0, 0.0), (1e-20, 0.5), (1.0, 1.0)))
+    with pytest.raises(InvalidSystemError) as exc:
+        build_system([ds], WiringPlan.from_pairs([[(1, 0.5), (1, 0.5)]]), mode)
+    violations = exc.value.report.violations
+    assert [(v.code, v.indices) for v in violations] == [("data/width-ratio", (1, 1, 2))]
 
 
 def test_transform_points_matches_apply_map(ex1_system):

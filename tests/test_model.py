@@ -57,7 +57,8 @@ def test_two_vertex_wiring_accepted():
 
 
 def test_single_flat_dataset_accepted():
-    # n=1 has no cross-data-set pairs, so the width condition is vacuous.
+    # n=1 holds only the self-pair to the width condition, which ordered
+    # points pass unless rounding makes a width equal the span.
     ds = DataSet(FLAT_POINTS)
     plan = WiringPlan.from_pairs([[(1, 0.0), (1, 0.0)]])
     report = validate([ds], plan)
@@ -123,6 +124,15 @@ def test_order_and_finite_violations():
     codes = report.codes()
     assert "points/order" in codes
     assert "points/finite" in codes
+
+
+def test_point_violations_of_every_vertex_come_before_wiring_violations():
+    ds = DataSet(((0, 0), (1, 1), (2, 0)))
+    repeated = DataSet(((0, 0), (0, 1), (2, 0)))
+    plan = WiringPlan.from_pairs([[(1, 0.2), (1, 1.5)], [(1, 0.2), (2, 0.2)]])
+    report = validate([ds, repeated], plan)
+    assert [(v.code, v.indices) for v in report.violations[:2]] == [
+        ("points/order", (2, 1)), ("wiring/factor", (1, 2))]
 
 
 def test_scaling_factor_bound():
