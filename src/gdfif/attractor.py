@@ -201,6 +201,8 @@ def iterate_attractor(
     """
     if generations < 1:
         raise ValueError("generations must be at least 1")
+    if not dedup_tolerance >= 0:
+        raise ValueError(f"dedup_tolerance must be at least 0, got {dedup_tolerance}")
     clouds = data_clouds(system)
     for _ in range(generations):
         predicted = sum(len(clouds[m.source_vertex - 1]) for row in system.maps for m in row)

@@ -196,10 +196,11 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _parse_datasets(raw, base_dir: Path) -> tuple[DataSet, ...]:
+def _parse_datasets(raw, base_dir: Path) -> tuple[tuple[DataSet, ...], tuple[Path, ...]]:
+    """The data sets, one per vertex, and the paths of the data CSVs read."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError("'datasets' must be a nonempty list, one entry per vertex")
-    datasets = []
+    datasets, paths = [], []
     for k, entry in enumerate(raw, start=1):
         if len(_mapping(entry, f"dataset {k}", ("points", "csv"))) != 1:
             raise ConfigError(f"dataset {k}: give exactly one of 'points' or 'csv'")
@@ -217,7 +218,8 @@ def _parse_datasets(raw, base_dir: Path) -> tuple[DataSet, ...]:
                 ))
             datasets.append(DataSet(tuple(parsed)))
         else:
-            rows = read_points_csv(base_dir / str(entry["csv"]))
+            paths.append(base_dir / str(entry["csv"]))
+            rows = read_points_csv(paths[-1])
             vertices = sorted({v for v, _, _ in rows})
             if len(vertices) > 1:
                 raise ConfigError(
@@ -225,7 +227,7 @@ def _parse_datasets(raw, base_dir: Path) -> tuple[DataSet, ...]:
                     f"a data set is one vertex's points"
                 )
             datasets.append(DataSet(tuple((x, y) for _, x, y in rows)))
-    return tuple(datasets)
+    return tuple(datasets), tuple(paths)
 
 
 def _parse_wiring(raw) -> WiringPlan:
@@ -292,7 +294,7 @@ def _safe_load(text: str):
 def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
     """Check the parsed YAML `raw`; a setting in `flags` replaces the config's value."""
     raw = _mapping(raw, f"{path}: top level", CONFIG_KEYS)
-    datasets = _parse_datasets(raw.get("datasets"), path.parent)
+    datasets, data_csvs = _parse_datasets(raw.get("datasets"), path.parent)
     plan = _parse_wiring(raw.get("wiring"))
     if plan.n != len(datasets):
         raise ConfigError(
@@ -318,12 +320,6 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
             f"above attractor.burn_in ({settings['burn_in']})"
         )
     outputs = tuple((k, _text(outputs[k], f"outputs.{k}")) for k in OUTPUT_KEYS if k in outputs)
-    written = {}
-    for key, rel in outputs:
-        where = os.path.normpath(rel)
-        if where in written:
-            raise ConfigError(f"outputs.{written[where]} and outputs.{key} both name {where!r}")
-        written[where] = key
 
     return ProjectConfig(
         name=_text(raw["name"], "name") if "name" in raw else path.stem,
@@ -332,9 +328,20 @@ def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:
         condition3_mode=mode,
         outputs=outputs,
         outdir=_text(raw["outdir"], "outdir") if "outdir" in raw else None,
-        inputs=(path, *(path.parent / str(e["csv"]) for e in raw["datasets"] if "csv" in e)),
+        inputs=(path, *data_csvs),
         **settings,
     )
+
+
+def _check_outputs(cfg: ProjectConfig, outdir: Path) -> None:
+    """Refuse an output that resolves, symlinks followed, to an input or an earlier output."""
+    claimed = {os.path.realpath(p): p for p in cfg.inputs}  # an input's Path, an output's key
+    for key, rel in cfg.outputs:
+        other = claimed.setdefault(os.path.realpath(outdir / rel), key)
+        if isinstance(other, Path):
+            raise ConfigError(f"outputs.{key} names {str(other)!r}, an input of this config")
+        if other != key:
+            raise ConfigError(f"outputs.{other} and outputs.{key} both name {rel!r}")
 
 
 def _json(obj) -> str:
@@ -402,16 +409,7 @@ def _summary(cfg: ProjectConfig, system, result, clouds) -> dict:
 
 
 def cmd_run(cfg: ProjectConfig, outdir: Path, args) -> int:
-    """Solve, iterate the attractor and write the artifacts; `run` adds the summary.
-
-    An output that resolves to the config file or a data CSV it reads is a
-    ConfigError, raised before the solve.
-    """
-    inputs = {os.path.realpath(p): p for p in cfg.inputs}
-    for key, rel in cfg.outputs:
-        named = inputs.get(os.path.realpath(outdir / rel))
-        if named is not None:
-            raise ConfigError(f"outputs.{key} names {str(named)!r}, an input of this config")
+    """Solve, iterate the attractor and write the artifacts; `run` adds the summary."""
     system = build_system(cfg.datasets, cfg.plan, cfg.condition3_mode)
     result = fixed_point(system, cfg.resolution, cfg.tol, cfg.max_iters)
     clouds = iterate_attractor(system, cfg.generations, cfg.dedup_tol)
@@ -472,6 +470,7 @@ def main(argv=None) -> int:
             flags = {key: vars(args)[key] for key in keys if vars(args)[key] is not None}
             cfg = load_config(resolve_config_arg(args.config), flags)
             outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or cfg.outdir or ".")
+            _check_outputs(cfg, outdir)
             return args.handler(cfg, outdir, args)
         except InvalidSystemError as exc:  # a ValueError, so caught before the next clause
             _emit_json(asdict(exc.report))

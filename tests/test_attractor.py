@@ -124,6 +124,22 @@ def test_iterate_attractor_dedup_spacing(ex1_system):
     assert np.unique(keys, axis=0).shape[0] == keys.shape[0]
 
 
+@pytest.mark.parametrize("tol", [-1.0, -np.inf, np.nan])
+def test_iterate_attractor_refuses_a_negative_or_nan_tolerance(ex1_system, tol):
+    # Only 0 disables the dedup; these skipped it without a word.
+    with pytest.raises(ValueError, match=r"^dedup_tolerance must be at least 0, got "):
+        iterate_attractor(ex1_system, 6, tol)
+    assert [len(c) for c in iterate_attractor(ex1_system, 6, 0.0)] == [4 * 3**6]
+
+
+def test_hutchinson_step_refuses_clouds_of_the_wrong_count_or_order(ex2_system):
+    clouds = data_clouds(ex2_system)
+    with pytest.raises(ValueError, match=r"^expected 2 clouds, got 1$"):
+        hutchinson_step(ex2_system, clouds[:1])
+    with pytest.raises(ValueError, match=r"^expected vertex 1 at position 0, got 2$"):
+        hutchinson_step(ex2_system, clouds[::-1])
+
+
 def test_iterate_attractor_budget_guard(ex1_system, monkeypatch):
     monkeypatch.setattr(attractor, "_MAX_POINTS", 10_000)
     with pytest.raises(CloudBudgetError, match="cap is 10000; use fewer generations or a larger"):

@@ -846,6 +846,52 @@ def test_an_output_that_names_an_input_is_a_config_error(tmp_path, monkeypatch, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", [["run"], ["render"], ["validate"], ["eval", "--x", "1"]],
+                         ids=lambda command: command[0])
+def test_two_outputs_that_meet_through_a_symlink_are_a_config_error(tmp_path, capsys, command):
+    # The paths differ as written, so run wrote the curve CSV and then the
+    # cloud CSV over it.
+    outdir = tmp_path / "out"
+    (outdir / "real").mkdir(parents=True)
+    (outdir / "link").symlink_to("real", target_is_directory=True)
+    text = MINIMAL + "outputs: {csv: real/same.csv, cloud_csv: link/same.csv}\n"
+    cfg = write_config(tmp_path, text)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command[0], str(cfg), "--outdir", str(outdir), *command[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", "error: outputs.csv and outputs.cloud_csv both name 'link/same.csv'\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", [["validate"], ["eval", "--x", "1"]],
+                         ids=lambda command: command[0])
+def test_every_command_refuses_an_output_that_names_an_input(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # validate and eval write no file, but a config that would overwrite its
+    # own data under run is refused under every command alike.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("x,y\n0,0\n1,1\n2,0\n")
+    text = MINIMAL.replace("points: [[0, 0], [1, 1], [2, 0]]", "csv: data.csv")
+    write_config(tmp_path, text + "outputs: {cloud_csv: data.csv}\n")
+    assert main([command[0], "cfg.yaml", "--outdir", str(tmp_path), *command[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", "error: outputs.cloud_csv names 'data.csv', an input of this config\n")
+
+
+def test_an_outdir_linked_to_the_config_directory_cannot_overwrite_the_config(tmp_path,
+                                                                               capsys):
+    home = tmp_path / "home"
+    home.mkdir()
+    cfg = write_config(home, MINIMAL + "outputs: {summary: cfg.yaml}\n")
+    before = cfg.read_bytes()
+    (tmp_path / "out").symlink_to(home, target_is_directory=True)
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: outputs.summary names {str(cfg)!r}, an input of this config\n")
+    assert cfg.read_bytes() == before
+    assert [p.name for p in home.iterdir()] == ["cfg.yaml"]
+
+
 def test_chaos_points_above_burn_in_or_zero_load(tmp_path):
     text = MINIMAL + "attractor: {chaos_points: 101, burn_in: 100}\n"
     assert load_config(write_config(tmp_path, text)).chaos_points == 101
@@ -1138,3 +1184,10 @@ def test_readme_library_table_names_only_what_each_module_has():
         names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", contents))
         missing = [name for name in names if name != "gdfif" and not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_readme_library_table_lists_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library layout\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", table)))
+    assert [name for name in gdfif.__all__ if name not in listed] == []

@@ -57,6 +57,12 @@ def test_sampled_function_keeps_read_only_copies_of_its_arrays():
     assert not (fn.grid.flags.writeable or fn.values.flags.writeable)
 
 
+def test_function_family_refuses_functions_out_of_vertex_order():
+    fns = [SampledFunction(v, np.array([0.0, 1.0]), np.zeros(2)) for v in (2, 1)]
+    with pytest.raises(ValueError, match=r"^expected vertex 1 at position 0, got 2$"):
+        FunctionFamily(tuple(fns))
+
+
 def test_initial_family_is_endpoint_chord(ex1_system):
     fam = initial_family(ex1_system, 16)
     fn = fam.get(1)
@@ -169,6 +175,25 @@ def test_apply_T_rejects_maps_that_miss_the_knots(ex1_system):
     broken = dataclasses.replace(ex1_system, maps=(tuple(maps),))
     with pytest.raises(ValueError, match="one-sided knot values for vertex 1 deviate"):
         apply_T(broken, initial_family(broken, 16), 16)
+
+
+def test_apply_T_refuses_a_family_of_the_wrong_size(ex1_system, ex2_system):
+    with pytest.raises(ValueError, match=r"^family covers 1 vertices, system has 2$"):
+        apply_T(ex2_system, initial_family(ex1_system, 16), 16)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
+def test_apply_T_refuses_a_family_off_its_domain_or_endpoint_ordinates(ex1_system, end):
+    fn = initial_family(ex1_system, 16).get(1)
+    keep = slice(1, None) if end == 0 else slice(None, -1)
+    short = SampledFunction(1, fn.grid[keep], fn.values[keep])
+    with pytest.raises(ValueError, match=r"^function for vertex 1 does not span its data "):
+        apply_T(ex1_system, FunctionFamily((short,)), 16)
+    values = fn.values.copy()
+    values[end] += 1.0
+    unpinned = SampledFunction(1, fn.grid, values)
+    with pytest.raises(ValueError, match=r"^function for vertex 1 is not pinned to the endpoint"):
+        apply_T(ex1_system, FunctionFamily((unpinned,)), 16)
 
 
 def test_operator_contracts_function_pairs(ex2_system, rng):
