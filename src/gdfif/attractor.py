@@ -9,7 +9,9 @@ on the attractor exactly and only has to fill it in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +34,17 @@ class AttractorCloud:
         self._keep(np.array(self.points, dtype=float))
 
     @classmethod
-    def _adopt(cls, vertex: int, points: np.ndarray, generation: int) -> AttractorCloud:
-        """A cloud that keeps `points`, a fresh float64 array no caller holds, uncopied."""
+    def _adopt(cls, vertex: int, points: np.ndarray, generation: int,
+               box: tuple[float, float, float, float] | None = None) -> AttractorCloud:
+        """A cloud that keeps `points`, a fresh float64 array no caller holds,
+        uncopied, and `box`, when given, as its `_box`."""
         cloud = object.__new__(cls)
         object.__setattr__(cloud, "vertex", vertex)
         object.__setattr__(cloud, "generation", generation)
         cloud._keep(points)
+        if box is not None:
+            # cached_property has no __set__: this fills its slot in __dict__.
+            object.__setattr__(cloud, "_box", box)
         return cloud
 
     def _keep(self, pts: np.ndarray) -> None:
@@ -45,6 +52,17 @@ class AttractorCloud:
             raise ValueError("points must be a nonempty (k, 2) array")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def _box(self) -> tuple[float, float, float, float]:
+        """(x lo, x hi, y lo, y hi), a box that encloses every point.
+
+        The step and the dedup hand theirs on (see `_image_box`); any other
+        cloud takes its points' exact extremes, NaN when a point holds one.
+        """
+        x = self.points[:, 0]
+        y = self.points[:, 1]
+        return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -73,23 +91,50 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
     """One set-valued step: each vertex becomes the union of its maps' images.
 
     The images are stored column-major, so each coordinate is one
-    contiguous run for the step that reads it next. Raises ValueError
-    naming the vertex when an image leaves the float range.
+    contiguous run for the step that reads it next. Each new cloud carries
+    the box its sources' boxes map to (`_image_box`); only when that box
+    is not finite are the images scanned. Raises ValueError naming the
+    vertex when an image leaves the float range.
     """
     clouds = _check_clouds(system, clouds)
     out = []
     for alpha in range(1, system.n + 1):
         maps = system.maps_for(alpha)
-        sources = [clouds[m.source_vertex - 1].points for m in maps]
+        sources = [clouds[m.source_vertex - 1] for m in maps]
         images = np.empty((sum(map(len, sources)), 2), order="F")
         lo = 0
-        for m, pts in zip(maps, sources):
-            transform_points(m, pts, out=images[lo:lo + len(pts)])
-            lo += len(pts)
-        if not np.isfinite((images.min(), images.max())).all():
+        for m, src in zip(maps, sources):
+            transform_points(m, src.points, out=images[lo:lo + len(src)])
+            lo += len(src)
+        box = _image_box(maps, sources)
+        if box is None and not np.isfinite((images.min(), images.max())).all():
             raise ValueError(f"the maps of vertex {alpha} leave the float range")
-        out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1))
+        out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1, box))
     return tuple(out)
+
+
+def _image_box(maps, sources) -> tuple[float, float, float, float] | None:
+    """A box that encloses every image of the sources' points under the
+    maps, or None when one of its terms is not finite.
+
+    Each term of `transform_points` is monotone in x and in y (a > 0, c and
+    d of either sign), and so is its rounding. Evaluated on the source
+    box's ends in the same order of rounding, x*a + e and (y*d + c*x) + f
+    bound every image as it is rounded. The x ends map to the x ends, so an
+    exact x range stays exact; the y range can widen, as the two terms may
+    take their extremes at different corners. Python's min and max can
+    drop a NaN, so every term is checked before they are taken.
+    """
+    terms = []
+    for (a, c, d, e, f, _), src in zip(maps, sources):
+        x0, x1, y0, y1 = src._box
+        dy = (y0 * d, y1 * d)
+        cx = (c * x0, c * x1)
+        terms += (x0 * a + e, x1 * a + e, (min(dy) + min(cx)) + f, (max(dy) + max(cx)) + f,
+                  *dy, *cx)
+    if not all(map(math.isfinite, terms)):
+        return None
+    return (min(terms[0::8]), max(terms[1::8]), min(terms[2::8]), max(terms[3::8]))
 
 
 # Packed dedup keys are int64: the cell number above the row index.
@@ -98,7 +143,7 @@ _KEY_LIMIT = 1 << 63
 _KEY_BLOCK = 1 << 14
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
+def _dedup(points: np.ndarray, tol: float, box=None) -> np.ndarray:
     """Keep one representative per tol-sized grid cell, in first-seen order.
 
     Representatives are original points, not cell centers, so deduplication
@@ -111,20 +156,27 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     finite.
 
     v -> round(v / tol) is monotone for tol > 0, and NaN and inf go through
-    it as themselves, so the cell range is that of the extreme coordinates,
-    bit for bit, without the cell numbers of the other rows. The keys are
-    built _KEY_BLOCK rows at a time, and the first of each cell is flagged
-    a block at a time, in block-sized buffers: the packed path's only
-    n-long arrays are the keys and those flags.
+    it as themselves, so the cell numbers of `box`, (x lo, x hi, y lo, y hi)
+    enclosing the points, enclose theirs. The cell range is taken from the
+    box; with no box, or one whose cell numbers are not finite, from the
+    extreme coordinates, bit for bit. The keys are built _KEY_BLOCK rows at
+    a time in block-sized buffers. A row in the cell of the row before it
+    is never the first of its cell, so it is dropped before the sort: the
+    images keep their source's order along the graph, and about half the
+    rows repeat the cell before. The keys, filled only for the rows kept,
+    and their first-of-cell flags are the packed path's only n-long arrays.
     """
     n = len(points)
     x = points[:, 0]
     y = points[:, 1]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        x0, x1, y0, y1 = np.round(np.array((x.min(), x.max(), y.min(), y.max())) / tol)
-    if not np.isfinite((x0, x1, y0, y1)).all():
+        span = None if box is None else np.round(np.array(box) / tol)
+        if span is None or not np.isfinite(span).all():
+            span = np.round(np.array((x.min(), x.max(), y.min(), y.max())) / tol)
+    if not np.isfinite(span).all():
         raise ValueError(f"dedup tolerance {tol!r} is too small: a point's cell number "
                          f"(coordinate / tolerance) is not finite; use a larger dedup_tol")
+    x0, x1, y0, y1 = span
     bits = (n - 1).bit_length()
     nx = int(x1) - int(x0) + 1
     ny = int(y1) - int(y0) + 1
@@ -138,16 +190,21 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         first = np.ones(n, dtype=bool)
         first[1:] = (fx[1:] != fx[:-1]) | (fy[1:] != fy[:-1])
         return _take_rows(points, np.sort(order[first]))
-    # One block's float cell numbers, and its int64 y cells; the flags
-    # reuse the latter, one longer, for the key before the block.
+    # One block's float cell numbers, its flags of the rows that start a
+    # new cell, and its cells after the cell of the row before it (-1
+    # before the first row: cells number from 0), reused for the flags'
+    # shifted keys. The keys of the m rows kept so far fill key[:m], so
+    # key[lo:hi] is free to hold the block's int64 y cells.
     size = min(n, _KEY_BLOCK)
     cells = np.empty(size)
-    ky = np.empty(size + 1, dtype=np.int64)
-    rows = np.arange(size)
+    new = np.empty(size, dtype=bool)
+    kc = np.empty(size + 1, dtype=np.int64)
+    kc[0] = -1
     key = np.empty(n, dtype=np.int64)
+    m = 0
     for lo in range(0, n, _KEY_BLOCK):
         hi = min(lo + _KEY_BLOCK, n)
-        k, c, r = key[lo:hi], cells[:hi - lo], ky[:hi - lo]
+        c, fresh, k, r = cells[:hi - lo], new[:hi - lo], kc[1:hi - lo + 1], key[lo:hi]
         np.divide(x[lo:hi], tol, out=c)
         np.round(c, out=c)
         k[...] = c
@@ -158,15 +215,22 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         r[...] = c
         r -= int(y0)
         k += r
-        k <<= bits
-        k += rows[:hi - lo]
-        k += lo
+        np.not_equal(k, kc[:hi - lo], out=fresh)
+        rows = np.flatnonzero(fresh)
+        out = key[m:m + len(rows)]
+        np.take(k, rows, out=out, mode="clip")
+        out <<= bits
+        out += rows
+        out += lo
+        m += len(rows)
+        kc[0] = k[-1]
+    key = key[:m]
     key.sort()
-    first = np.empty(n, dtype=bool)
+    first = np.empty(m, dtype=bool)
     first[0] = True
-    for lo in range(1, n, _KEY_BLOCK):
-        hi = min(lo + _KEY_BLOCK, n)
-        c = np.right_shift(key[lo - 1:hi], bits, out=ky[:hi - lo + 1])
+    for lo in range(1, m, _KEY_BLOCK):
+        hi = min(lo + _KEY_BLOCK, m)
+        c = np.right_shift(key[lo - 1:hi], bits, out=kc[:hi - lo + 1])
         np.not_equal(c[1:], c[:-1], out=first[lo:hi])
     keep = np.compress(first, key)
     keep &= (1 << bits) - 1
@@ -214,7 +278,8 @@ def iterate_attractor(
         clouds = hutchinson_step(system, clouds)
         if dedup_tolerance > 0:
             clouds = tuple(
-                AttractorCloud._adopt(c.vertex, _dedup(c.points, dedup_tolerance), c.generation)
+                AttractorCloud._adopt(c.vertex, _dedup(c.points, dedup_tolerance, c._box),
+                                      c.generation, c._box)
                 for c in clouds
             )
     return clouds

@@ -127,10 +127,12 @@ def _number(value, what: str) -> float:
 
 
 def _bounded(value, what: str, kind: type, least, most=None):
-    """An integer (kind int) or a number (kind float) no less than `least`
-    and, unless `most` is None, no more than `most`."""
+    """An integer (kind int) or a finite number (kind float) no less than
+    `least` and, unless `most` is None, no more than `most`."""
     if kind is float:
         value = _number(value, what)
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} must be finite, got {value}")
     elif isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what}: expected an integer, got {value!r}")
     if not value >= least:

@@ -286,6 +286,26 @@ def _dedup_spied(points, tol, monkeypatch):
     return got, bool(calls)
 
 
+def _sorted_rows(points, tol, monkeypatch):
+    """The row numbers of the keys that the packed dedup sorted, in key order.
+
+    The sorted keys go through `np.compress` once, as they are picked.
+    """
+    keys = []
+    compress = np.compress
+    with monkeypatch.context() as m:
+        m.setattr(np, "compress", lambda flags, a: keys.append(a.copy()) or compress(flags, a))
+        _dedup(points, tol)
+    (key,) = keys
+    return key & ((1 << (len(points) - 1).bit_length()) - 1), key
+
+
+def _cell_starts(points, tol):
+    """The rows whose cell differs from the cell of the row before."""
+    cells = np.round(points / tol)
+    return np.flatnonzero(np.concatenate(([True], (cells[1:] != cells[:-1]).any(axis=1))))
+
+
 def test_dedup_matches_unique_reference(rng, monkeypatch):
     tol = 0.25
     cells = rng.integers(-8, 8, size=(4000, 2)) * tol
@@ -348,8 +368,18 @@ def test_blocked_dedup_matches_references_across_block_edges(block, rng, monkeyp
         pts = rng.integers(-12, 13, size=(n, 2)) / 4 * tol
         ties = np.resize(_RANGE_TIES, (n, 2)) * tol
         one_cell = np.full((n, 2), -1.0) + rng.uniform(-0.4, 0.4, size=(n, 2)) * tol
+        jitter = rng.uniform(-0.4, 0.4, size=(n, 2)) * tol
+        # Runs of block + 1 rows in one cell, so every run crosses a seam.
+        runs = np.repeat(rng.integers(-3, 4, size=(n, 2)), block + 1, axis=0)[:n] * tol + jitter
+        # Cell A, A, B, A, A, B, ...: a cell comes back after another.
+        back = np.resize([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]], (n, 2)) * tol + jitter
+        # The first row of every block after the first repeats the row before's
+        # cell; the cells number on and come back every 5 and 35 rows.
+        cell = np.cumsum(np.arange(n) % block != 0)
+        seams = np.column_stack((cell % 5, cell // 5 % 7)) * tol + jitter
         cases = [(pts, tol, False), (ties, tol, False), (-ties, tol, False),
-                 (one_cell, tol, False), (pts + 1.0, 1e-19, True)]  # cells past int64
+                 (one_cell, tol, False), (pts + 1.0, 1e-19, True),  # cells past int64
+                 (runs, tol, False), (back, tol, False), (seams, tol, False)]
         for points, t, lexsorted in cases:
             for layout in (points, np.asfortranarray(points)):
                 got, took_lexsort = _dedup_spied(layout, t, monkeypatch)
@@ -357,7 +387,12 @@ def test_blocked_dedup_matches_references_across_block_edges(block, rng, monkeyp
                 assert bits(got) == bits(dedup_float_reference(points, t))
                 if not lexsorted:
                     assert bits(got) == bits(dedup_reference(points, t))
+                    # The sort sees each row that starts a new cell, and no other.
+                    rows, key = _sorted_rows(layout, t, monkeypatch)
+                    assert np.array_equal(np.sort(rows), _cell_starts(points, t))
+                    assert (np.diff(key) > 0).all()
         assert len(_dedup(one_cell, tol)) == 1
+        assert len(_sorted_rows(one_cell, tol, monkeypatch)[0]) == 1
     assert bits(_dedup(np.array([[-0.375, 0.125]]), tol)) == bits([[-0.375, 0.125]])
 
 
@@ -435,6 +470,139 @@ def test_traced_iterate_attractor_calls_the_public_step_once_per_generation(monk
     assert len(calls) == generations
     assert [c.generation for c in calls[-1]] == [generations - 1] * system.n
     assert [bits(c.points) for c in traced] == [bits(c.points) for c in untraced]
+
+
+def _exact_box(points):
+    return tuple(float(v) for v in (points[:, 0].min(), points[:, 0].max(),
+                                    points[:, 1].min(), points[:, 1].max()))
+
+
+def _encloses(cloud):
+    x0, x1, y0, y1 = cloud._box
+    x, y = cloud.points[:, 0], cloud.points[:, 1]
+    return bool(((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)).all())
+
+
+def _boxed_case(name):
+    """(system, generations, dedup tolerance) of one case."""
+    if name == "three-vertex":
+        return _three_vertex_system(), 6, 1e-3
+    if name.startswith("narrow"):
+        return random_narrow_system(np.random.default_rng(int(name[-1]))), 2, 1e-3
+    system, _, generations, tol = _clouds_and_curves(name)
+    return system, generations, tol
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("wide", "three-vertex", "two-vertex-1",
+                                             "two-vertex-2", "two-vertex-3", "narrow-1",
+                                             "narrow-2"))
+def test_every_step_and_dedup_keeps_its_cloud_inside_a_finite_box(name, monkeypatch):
+    # Each step derives its clouds' boxes from its sources' boxes, and each
+    # dedup hands its input's box on. Every box is finite here, so no step
+    # scans its images and no dedup reads a cloud's extremes.
+    system, generations, tol = _boxed_case(name)
+    steps = []
+    step = attractor.hutchinson_step
+    monkeypatch.setattr(attractor, "hutchinson_step",
+                        lambda s, clouds: steps.append((clouds, step(s, clouds))) or steps[-1][1])
+    final = iterate_attractor(system, generations, tol)
+    assert len(steps) == generations
+    deduped = [before for before, _ in steps[1:]] + [final]
+    for (before, images), after in zip(steps, deduped):
+        for cloud in (*before, *images, *after):
+            assert np.isfinite(cloud._box).all()
+            assert _encloses(cloud)
+        assert [c._box for c in after] == [c._box for c in images]
+    # From the data's exact boxes, the first step's x ranges are exact.
+    for cloud in steps[0][1]:
+        assert cloud._box[:2] == _exact_box(cloud.points)[:2]
+
+
+def test_a_cloud_made_anew_takes_its_box_from_its_own_points(ex2_system):
+    # The first step's box of vertex 1 reaches y = 5.67 where its images
+    # stop at 5.17: a copy must not keep it, nor a cloud with other points.
+    image = hutchinson_step(ex2_system, data_clouds(ex2_system))[0]
+    assert image._box != _exact_box(image.points)
+    moved = image.points * 3.0 - 1.0
+    for cloud, points in ((dataclasses.replace(image), image.points),
+                          (dataclasses.replace(image, points=moved), moved),
+                          (AttractorCloud._adopt(1, moved.copy(), 1), moved),
+                          (AttractorCloud(1, moved, 1), moved)):
+        assert cloud._box == _exact_box(points)
+    assert image._box != _exact_box(image.points)
+
+
+def _d_zero_system():
+    # Both maps scale y by 0, and inf * 0 is NaN: a cloud that reaches
+    # y = +-inf makes its box's y terms (0, NaN) or (NaN, 0), whose NaN
+    # Python's min and max keep or drop by its place.
+    return build_system([DataSet(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))],
+                        WiringPlan.from_pairs([[(1, 0.0), (1, 0.0)]]))
+
+
+@pytest.mark.parametrize("name", ["example2", "three-vertex", "d-zero"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_cloud_holding_nan_or_inf_leaves_the_float_range_as_before(name, bad):
+    # The first vertex whose reference images are not all finite is named;
+    # a vertex no map reads (vertex 3 of three-vertex) raises nothing.
+    system = {"example2": lambda: bundled_system("example2")[1],
+              "three-vertex": _three_vertex_system, "d-zero": _d_zero_system}[name]()
+    start = data_clouds(system)
+    for k in range(system.n):
+        for row in (0, 1, len(start[k]) - 1):
+            for col in (0, 1):
+                points = np.array(start[k].points)
+                points[row, col] = bad
+                clouds = list(start)
+                clouds[k] = AttractorCloud(k + 1, points, 0)
+                with np.errstate(all="ignore"):
+                    want = hutchinson_step_reference(system, clouds)
+                named = [c.vertex for c in want if not np.isfinite(c.points).all()]
+                if named:
+                    with pytest.raises(ValueError, match=f"^the maps of vertex {named[0]} "
+                                                         "leave the float range$"):
+                        hutchinson_step(system, clouds)
+                else:
+                    got = hutchinson_step(system, clouds)
+                    assert [bits(c.points) for c in got] == [bits(c.points) for c in want]
+                    assert all(_encloses(c) for c in got)
+    if name == "three-vertex":
+        assert not named  # the last case: vertex 3, whose cloud no map reads
+
+
+class _NoExtremes(np.ndarray):
+    """Points whose min and max raise, so a dedup that reads them fails."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("extremes read")
+
+    max = min
+
+
+def test_a_dedup_given_a_finite_box_reads_no_extremes(rng):
+    points = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(3000, 2)))
+    tol = 1e-2
+    want = bits(dedup_reference(points, tol))
+    # the exact box, and a wider one, number the same cells alike
+    for box in (_exact_box(points), (-7.0, 3.0, -1.5, 40.0)):
+        assert bits(_dedup(points.view(_NoExtremes), tol, box)) == want
+    with pytest.raises(AssertionError, match="extremes read"):
+        _dedup(points.view(_NoExtremes), tol, (-1.0, np.inf, -1.0, 1.0))
+
+
+def test_a_box_whose_cell_numbers_overflow_gives_the_points_cell_range(rng):
+    # Near 1.5e298 the points' cell numbers at tol 1e-10 are finite; the
+    # box's y end at 3e298 is not, so the dedup reads the points' extremes.
+    tol = 1e-10
+    points = rng.uniform(-1.5e298, 1.5e298, size=(500, 2))
+    points = np.vstack([points, points[:50]])
+    box = (*_exact_box(points)[:3], 3e298)
+    assert not np.isfinite(box[3] / tol)
+    got = _dedup(points, tol, box)
+    assert bits(got) == bits(dedup_float_reference(points, tol)) == bits(_dedup(points, tol))
+    assert len(got) == 500
+    with pytest.raises(ValueError, match=r"^dedup tolerance 1e-11 is too small"):
+        _dedup(points, 1e-11, box)
 
 
 def test_iterate_attractor_memory_peak_on_example2b():

@@ -803,6 +803,25 @@ def test_flag_below_minimum_is_a_config_error(tmp_path, capsys, flag, value):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("section, key", [("solver", "tol"), ("attractor", "dedup_tol")])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+def test_a_non_finite_float_setting_is_a_config_error(tmp_path, capsys, section, key,
+                                                       value, source):
+    # inf passed every lower bound: `--tol inf` stopped after one sweep and
+    # `--dedup-tol inf` kept one point per cloud, both with exit 0.
+    outdir = tmp_path / "out"
+    if source == "flag":
+        args = ["example1", f"--{key.replace('_', '-')}={value}"]
+    else:
+        text = MINIMAL + f"{section}: {{{key}: {value.replace('inf', '.inf')}}}\n"
+        args = [str(write_config(tmp_path, text))]
+    code = main(["run", *args, "--outdir", str(outdir)])
+    assert capsys.readouterr() == ("", f"error: {section}.{key} must be finite, got {value}\n")
+    assert code == 2
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("setting", [
     "solver: {tol: .nan}",
     "attractor: {dedup_tol: .nan}",
