@@ -258,15 +258,18 @@ def iterate_attractor(
 ) -> tuple[AttractorCloud, ...]:
     """Iterate the set-valued step from the data points.
 
-    Clouds are deduplicated on a grid of size `dedup_tolerance` after each
-    generation (pass 0 to disable). Before each step the undeduplicated size
-    of the next generation is predicted from the wiring; if it exceeds
-    `_MAX_POINTS` a CloudBudgetError is raised instead of allocating it.
+    Clouds are deduplicated on a grid of size `dedup_tolerance`, finite and
+    at least 0, after each generation (pass 0 to disable). Before each step
+    the undeduplicated size of the next generation is predicted from the
+    wiring; if it exceeds `_MAX_POINTS` a CloudBudgetError is raised instead
+    of allocating it.
     """
     if generations < 1:
         raise ValueError("generations must be at least 1")
     if not dedup_tolerance >= 0:
         raise ValueError(f"dedup_tolerance must be at least 0, got {dedup_tolerance}")
+    if dedup_tolerance == math.inf:
+        raise ValueError("dedup_tolerance must be finite, got inf")
     clouds = data_clouds(system)
     for _ in range(generations):
         predicted = sum(len(clouds[m.source_vertex - 1]) for row in system.maps for m in row)

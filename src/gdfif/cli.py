@@ -279,7 +279,8 @@ def load_config(path, flags=None) -> ProjectConfig:
 
 
 def _safe_load(text: str):
-    """yaml.safe_load, through libyaml when PyYAML was built with it.
+    """yaml.safe_load, through libyaml when PyYAML was built with it, that
+    refuses a mapping which repeats a key (see `_UniqueKeys`).
 
     libyaml words some problems differently and marks some at other columns,
     so a document it rejects is parsed again by the pure-Python loader,
@@ -287,10 +288,44 @@ def _safe_load(text: str):
     """
     if yaml.__with_libyaml__:
         try:
-            return yaml.load(text, Loader=yaml.CSafeLoader)
+            return yaml.load(text, Loader=type("Loader", (_UniqueKeys, yaml.CSafeLoader), {}))
         except yaml.YAMLError:
             pass
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=type("Loader", (_UniqueKeys, yaml.SafeLoader), {}))
+
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeys:
+    """A loader mixin that refuses a mapping which repeats a key, where PyYAML
+    keeps the last value. Keys that a merge key (<<) brings in may repeat:
+    the mapping's own keys override them."""
+
+    def construct_document(self, root):
+        # Every mapping is checked before any is built: building a mapping
+        # with a merge key rewrites each mapping it merges that has merge
+        # keys of its own, whose node then lists the keys it merged in.
+        todo, seen = [root], set()
+        while todo:
+            node = todo.pop()
+            if isinstance(node, yaml.ScalarNode) or id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, yaml.SequenceNode):
+                todo.extend(node.value)
+                continue
+            keys = set()
+            for key_node, value_node in node.value:
+                todo += key_node, value_node
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found a repeated key {key!r}", key_node.start_mark)
+                    keys.add(key)
+        return super().construct_document(root)
 
 
 def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:

@@ -377,10 +377,11 @@ def fixed_point(
     Successive iterates share the same grids, so each delta is an exact sup
     distance and shrinks at least by the factor r per step. Stops once a
     delta drops to `tol`; raises ConvergenceError (carrying the iteration
-    count and last delta) if `max_iters` steps are not enough.
+    count and last delta) if `max_iters` steps are not enough. `tol` must be
+    positive and finite.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     sweep = _Transfer(system, resolution)

@@ -55,14 +55,12 @@ def export_csv(path, family=None, clouds=None) -> None:
     if (family is None) == (clouds is None):
         raise ValueError("pass exactly one of family or clouds")
     if family is not None:
-        parts = [(fn.vertex, fn.grid, fn.values) for fn in family]
+        columns = _by_vertex((fn.vertex, fn.grid, fn.values) for fn in family)
     else:
-        parts = [(c.vertex, c.points[:, 0], c.points[:, 1]) for c in clouds]
+        columns = _by_vertex((c.vertex, *c.points.T) for c in clouds)
     with open(path, "wb") as fh:
         fh.write(b"vertex,x,y\n")
-        for vertex in sorted({v for v, _, _ in parts}):
-            columns = [(px, py) for v, px, py in parts if v == vertex]
-            x, y = (np.concatenate(col) for col in zip(*columns))
+        for vertex, (x, y) in columns.items():
             order = _row_order(x, y)
             label = b"%d" % vertex
             for lo in range(0, len(x), _CSV_BLOCK):
@@ -76,16 +74,14 @@ def _row_order(x, y):
 
     A quicksort of x alone, whose runs of equal x (-0.0 and 0.0, or two
     infinities, among them) are then put in (y, row) order by one lexsort
-    over the rows in those runs. NaN equals nothing, so an x that holds
-    one takes the two-key lexsort, which puts it last.
+    over the rows in those runs. The quicksort puts NaN last, and a run of
+    NaN counts as a run of equal x.
     """
     if (x[1:] > x[:-1]).all():
         return None
-    if np.isnan(x).any():
-        return np.lexsort((y, x))
     order = np.argsort(x)
     sorted_x = x[order]
-    tie = sorted_x[1:] == sorted_x[:-1]
+    tie = (sorted_x[1:] == sorted_x[:-1]) | np.isnan(sorted_x[:-1])
     after = np.r_[False, tie]  # equal to the x before; a run starts where it is not
     at = np.flatnonzero(after | np.r_[tie, False])
     rows = order[at]
@@ -220,43 +216,23 @@ _SCALE, _HEAD, _DIGITS, _ZEROS, _PLACE = _digit_tables()
 _PERCENT_FIELD = np.frombuffer(b"%.17g".ljust(_FIELD, b"\0"), dtype=np.uint8)
 
 
-def _content_by_vertex(datasets, family, clouds):
-    """Collect drawable content per vertex: (data points, curve, cloud points)."""
-    content: dict[int, dict] = {}
-
-    def slot(alpha):
-        return content.setdefault(alpha, {"data": None, "curve": None, "cloud": None})
-
-    if datasets is not None:
-        for alpha, ds in enumerate(datasets, start=1):
-            slot(alpha)["data"] = np.array(ds.points)
-    if family is not None:
-        for fn in family:
-            slot(fn.vertex)["curve"] = (fn.grid, fn.values)
-    if clouds is not None:
-        for cloud in clouds:
-            slot(cloud.vertex)["cloud"] = cloud.points
-    if not content:
-        raise ValueError("nothing to draw")
-    return dict(sorted(content.items()))
+def _by_vertex(parts):
+    """Each vertex's x and y columns from (vertex, x, y) parts, in vertex
+    order: its parts joined in the order given, as contiguous arrays."""
+    columns: dict[int, list] = {}
+    for vertex, x, y in parts:
+        columns.setdefault(vertex, []).append((x, y))
+    return {v: tuple(np.concatenate(c) if len(c) > 1 else np.ascontiguousarray(*c)
+                     for c in zip(*columns[v])) for v in sorted(columns)}
 
 
-def _panel_range(alpha, entry):
-    """Snug, padded world ranges around all of one panel's content.
+def _panel_range(alpha, columns):
+    """Snug, padded world ranges around the (x, y) columns of one panel.
 
     Raises ValueError when a coordinate is not finite.
     """
-    xs, ys = [], []
-    for key in ("data", "cloud"):
-        if entry[key] is not None:
-            xs.append(entry[key][:, 0])
-            ys.append(entry[key][:, 1])
-    if entry["curve"] is not None:
-        xs.append(entry["curve"][0])
-        ys.append(entry["curve"][1])
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate(ys)
-    bounds = all_x.min(), all_x.max(), all_y.min(), all_y.max()
+    ends = np.array([(x.min(), x.max(), y.min(), y.max()) for x, y in columns])
+    bounds = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].min(), ends[:, 3].max()
     if not np.isfinite(bounds).all():
         raise ValueError(f"vertex {alpha}: cannot draw a coordinate that is not finite")
     x_lo, x_hi, y_lo, y_hi = map(float, bounds)
@@ -296,16 +272,21 @@ def _fraction(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def _layout(content):
-    n = len(content)
+def _layout(*layers):
+    """One panel per vertex of the `_by_vertex` layers, side by side in vertex order."""
+    vertices = sorted(set().union(*layers))
+    if not vertices:
+        raise ValueError("nothing to draw")
+    n = len(vertices)
     pw = (_WIDTH - _MARGIN * (n + 1)) / n
     ph = _HEIGHT - 2 * _MARGIN
     if pw <= 0:
         raise ValueError("canvas too small for the requested panel count")
     panels = {}
-    for k, (alpha, entry) in enumerate(content.items()):
+    for k, alpha in enumerate(vertices):
         px0 = _MARGIN + k * (pw + _MARGIN)
-        x_range, y_range = _panel_range(alpha, entry)
+        columns = [layer[alpha] for layer in layers if alpha in layer]
+        x_range, y_range = _panel_range(alpha, columns)
         panels[alpha] = _Panel(px0, _MARGIN, pw, ph, x_range, y_range)
     return panels
 
@@ -314,37 +295,39 @@ def render_svg(path, datasets=None, family=None, clouds=None) -> None:
     """Write an SVG scene: curves as polylines, clouds as round dots, data
     points as open circles of class "knot". At least one of the three inputs
     must be given, and every coordinate must be finite (else ValueError).
+    A vertex's clouds, as its curves, are joined in the order given and drawn as one.
     """
-    content = _content_by_vertex(datasets, family, clouds)
-    panels = _layout(content)
+    data = _by_vertex((alpha, *np.array(ds.points).T) for alpha, ds in enumerate(datasets or (), 1))
+    dots = _by_vertex((c.vertex, *c.points.T) for c in clouds or ())
+    curves = _by_vertex((fn.vertex, fn.grid, fn.values) for fn in family or ())
+    panels = _layout(data, dots, curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    for alpha, entry in content.items():
-        panel = panels[alpha]
+    for alpha, panel in panels.items():
         color = PALETTE[(alpha - 1) % len(PALETTE)]
         parts.append(
             f'<rect x="{panel.px0:.3f}" y="{panel.py0:.3f}" width="{panel.pw:.3f}" '
             f'height="{panel.ph:.3f}" fill="none" stroke="#cccccc"/>'
         )
-        if entry["cloud"] is not None:
-            for chunk in _dot_paths(entry["cloud"], panel):
+        if alpha in dots:
+            for chunk in _dot_paths(*dots[alpha], panel):
                 parts.append(
                     f'<path d="{chunk}" stroke="{color}" stroke-opacity="0.55" '
                     f'stroke-width="{_POINT_RADIUS * 0.6:.3f}" '
                     f'stroke-linecap="round" fill="none"/>'
                 )
-        if entry["curve"] is not None:
-            px, py = panel.project(*entry["curve"])
+        if alpha in curves:
+            px, py = panel.project(*curves[alpha])
             coords = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist()))
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.4"/>'
             )
-        if entry["data"] is not None:
-            pxs, pys = panel.project(*entry["data"].T)
+        if alpha in data:
+            pxs, pys = panel.project(*data[alpha])
             for px, py in zip(pxs.tolist(), pys.tolist()):
                 parts.append(
                     f'<circle class="knot" cx="{px:.3f}" cy="{py:.3f}" '
@@ -357,7 +340,7 @@ def render_svg(path, datasets=None, family=None, clouds=None) -> None:
         fh.write("\n")
 
 
-def _dot_paths(points, panel):
+def _dot_paths(x, y, panel):
     """Cloud dots as zero-length path segments, `_DOT_CHUNK` per path.
 
     Each dot reads "M%.2f %.2fh0" % (px, py), byte for byte. A dot is
@@ -368,7 +351,7 @@ def _dot_paths(points, panel):
     of 999.995 or more, a NaN or an infinity) is written as that `%`
     template and formatted by `%` in place.
     """
-    v = np.column_stack(panel.project(*points.T))
+    v = np.column_stack(panel.project(x, y))
     for lo in range(0, len(v), _DOT_CHUNK):
         chunk = v[lo:lo + _DOT_CHUNK]
         s = np.fmin(np.abs(chunk) * 100, 1e5)  # a NaN or an infinity reads 1e5
@@ -390,13 +373,13 @@ def render_pgm(path, clouds) -> None:
     """Write a binary 8-bit grayscale raster of the clouds.
 
     White background, one black pixel per point, same panel layout as the
-    SVG renderer. Every coordinate must be finite (else ValueError).
+    SVG renderer, a vertex's clouds drawn as one. Every coordinate must be
+    finite (else ValueError).
     """
-    content = _content_by_vertex(None, None, clouds)
-    panels = _layout(content)
+    dots = _by_vertex((c.vertex, *c.points.T) for c in clouds)
     img = np.full((_HEIGHT, _WIDTH), 255, dtype=np.uint8)
-    for alpha, entry in content.items():
-        px, py = panels[alpha].project(*entry["cloud"].T)
+    for alpha, panel in _layout(dots).items():
+        px, py = panel.project(*dots[alpha])
         # np.rint rounds half to even, as Python's round does.
         cols = np.clip(np.rint(px), 0, _WIDTH - 1).astype(np.intp)
         rows = np.clip(np.rint(py), 0, _HEIGHT - 1).astype(np.intp)

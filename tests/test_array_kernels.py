@@ -54,7 +54,7 @@ from gdfif.attractor import (
 )
 from gdfif.maps import apply_map, endpoint_residuals
 from gdfif.cli import bundled_config_path, load_config
-from gdfif.render import _content_by_vertex, _layout
+from gdfif.render import _layout
 from conftest import EX2_POINTS_1, EX2_POINTS_2
 from support import export_csv_percent, random_dataset, random_narrow_system, random_two_vertex
 
@@ -174,14 +174,29 @@ def _to_px(panel, x, y):
     return panel.px0 + fx * panel.pw, panel.py0 + (1.0 - fy) * panel.ph
 
 
+def _by_vertex_reference(parts):
+    """{vertex: (x, y)} of (vertex, points) parts, in vertex order, each
+    vertex's points taken part by part in the order given."""
+    points = {}
+    for vertex, pts in parts:
+        points.setdefault(vertex, []).extend(map(tuple, pts))
+    return {v: tuple(np.array(points[v]).T) for v in sorted(points)}
+
+
+def _scene_reference(datasets=None, family=None, clouds=None):
+    """The data points, cloud dots and curves of a scene, each by vertex."""
+    return (_by_vertex_reference((k, ds.points) for k, ds in enumerate(datasets or (), 1)),
+            _by_vertex_reference((c.vertex, c.points) for c in clouds or ()),
+            _by_vertex_reference((fn.vertex, zip(fn.grid, fn.values)) for fn in family or ()))
+
+
 def render_pgm_reference(path, clouds):
     width, height = render._WIDTH, render._HEIGHT
-    content = _content_by_vertex(None, None, clouds)
-    panels = _layout(content)
+    _, dots, _ = _scene_reference(clouds=clouds)
+    panels = _layout(dots)
     img = np.full((height, width), 255, dtype=np.uint8)
-    for alpha, entry in content.items():
-        panel = panels[alpha]
-        for x, y in entry["cloud"]:
+    for alpha, panel in panels.items():
+        for x, y in zip(*dots[alpha]):
             px, py = _to_px(panel, x, y)
             col = min(max(int(round(px)), 0), width - 1)
             row = min(max(int(round(py)), 0), height - 1)
@@ -191,9 +206,9 @@ def render_pgm_reference(path, clouds):
         fh.write(img.tobytes())
 
 
-def _dot_paths_reference(points, panel, chunk_size=2000):
+def _dot_paths_reference(xs, ys, panel, chunk_size=2000):
     moves = []
-    for x, y in points.tolist():
+    for x, y in zip(xs.tolist(), ys.tolist()):
         px, py = _to_px(panel, x, y)
         moves.append(f"M{px:.2f} {py:.2f}h0")
     for lo in range(0, len(moves), chunk_size):
@@ -206,34 +221,33 @@ def _polyline_reference(curve, panel):
 
 def render_svg_reference(path, datasets=None, family=None, clouds=None):
     width, height, radius = render._WIDTH, render._HEIGHT, render._POINT_RADIUS
-    content = _content_by_vertex(datasets, family, clouds)
-    panels = _layout(content)
+    data, dots, curves = _scene_reference(datasets, family, clouds)
+    panels = _layout(data, dots, curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for alpha, entry in content.items():
-        panel = panels[alpha]
+    for alpha, panel in panels.items():
         color = render.PALETTE[(alpha - 1) % len(render.PALETTE)]
         parts.append(
             f'<rect x="{panel.px0:.3f}" y="{panel.py0:.3f}" width="{panel.pw:.3f}" '
             f'height="{panel.ph:.3f}" fill="none" stroke="#cccccc"/>'
         )
-        if entry["cloud"] is not None:
-            for chunk in _dot_paths_reference(entry["cloud"], panel):
+        if alpha in dots:
+            for chunk in _dot_paths_reference(*dots[alpha], panel):
                 parts.append(
                     f'<path d="{chunk}" stroke="{color}" stroke-opacity="0.55" '
                     f'stroke-width="{radius * 0.6:.3f}" '
                     f'stroke-linecap="round" fill="none"/>'
                 )
-        if entry["curve"] is not None:
+        if alpha in curves:
             parts.append(
-                f'<polyline points="{_polyline_reference(entry["curve"], panel)}" '
+                f'<polyline points="{_polyline_reference(curves[alpha], panel)}" '
                 f'fill="none" stroke="{color}" stroke-width="1.4"/>'
             )
-        if entry["data"] is not None:
-            for x, y in entry["data"]:
+        if alpha in data:
+            for x, y in zip(*data[alpha]):
                 px, py = _to_px(panel, x, y)
                 parts.append(
                     f'<circle class="knot" cx="{px:.3f}" cy="{py:.3f}" '
@@ -842,7 +856,7 @@ def assert_dot_paths_match_percent(points):
     dots = ["M%.2f %.2fh0" % (x, y) for x, y in points.tolist()]
     chunk = render._DOT_CHUNK
     want = ["".join(dots[lo:lo + chunk]) for lo in range(0, len(dots), chunk)]
-    assert list(render._dot_paths(points, _Identity())) == want
+    assert list(render._dot_paths(*points.T, _Identity())) == want
 
 
 _EIGHTHS = np.arange(7201) / 8  # [0, 900]: the odd ones are .xx5 ties, exact in binary

@@ -132,6 +132,17 @@ def test_iterate_attractor_refuses_a_negative_or_nan_tolerance(ex1_system, tol):
     assert [len(c) for c in iterate_attractor(ex1_system, 6, 0.0)] == [4 * 3**6]
 
 
+@pytest.mark.parametrize("generations, tol, message", [
+    (4, np.inf, "dedup_tolerance must be finite, got inf"),
+    (0, 1e-3, "generations must be at least 1"),
+], ids=["infinite-tolerance", "no-generation"])
+def test_iterate_attractor_refuses_an_infinite_tolerance_or_no_generation(ex1_system, generations,
+                                                                          tol, message):
+    # An infinite tolerance collapsed each cloud to one point.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        iterate_attractor(ex1_system, generations, tol)
+
+
 def test_hutchinson_step_refuses_clouds_of_the_wrong_count_or_order(ex2_system):
     clouds = data_clouds(ex2_system)
     with pytest.raises(ValueError, match=r"^expected 2 clouds, got 1$"):

@@ -20,6 +20,7 @@ from gdfif.cli import (
     OUTPUT_KEYS,
     SETTINGS,
     ConfigError,
+    _safe_load,
     bundled_config_path,
     load_config,
     main,
@@ -136,6 +137,37 @@ def test_valid_config_is_read_by_libyaml(monkeypatch):
         assert load_config(bundled_config_path(name)) == with_libyaml
         monkeypatch.setattr(yaml, "__with_libyaml__", True)
     assert len(loaded) == 4
+
+
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+@pytest.mark.parametrize("extra, where, key", [
+    ("attractor: {generations: 4}\nattractor: {generations: 5}\n", "line 8, column 1",
+     "'attractor'"),
+    ("solver: {resolution: 16, resolution: 8}\n", "line 7, column 26", "'resolution'"),
+], ids=["top-level", "nested"])
+def test_a_repeated_key_is_one_parse_error_naming_it(tmp_path, capsys, monkeypatch, with_libyaml,
+                                                     extra, where, key):
+    # Both loaders kept the last value and the run went on.
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    path = write_config(tmp_path, MINIMAL + extra)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: parse error in {path} at {where}: found a repeated key {key}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+def test_keys_a_merge_key_brings_in_may_be_overridden(tmp_path, monkeypatch, with_libyaml):
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    merged = (MINIMAL.replace("{source: 1, d: 0.3}", "&first {source: 1, d: 0.3}")
+              .replace("{source: 1, d: -0.3}", "{<<: *first, d: -0.3}"))
+    want = load_config(write_config(tmp_path, MINIMAL))
+    assert load_config(write_config(tmp_path, merged)) == want
+    # `m` is merged into `c` before it is built, and has a merge key of its own.
+    nested = "base: &b {k: 1}\na: {inner: &m {<<: *b, k: 2}}\nc: {<<: *m}\n"
+    assert _safe_load(nested) == {"base": {"k": 1}, "a": {"inner": {"k": 2}}, "c": {"k": 2}}
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -258,6 +290,51 @@ def test_dataset_csv_of_several_vertices_is_rejected(tmp_path):
     # One vertex's rows load, whatever its label.
     (tmp_path / "curve.csv").write_text("vertex,x,y\n2,0,1\n2,3,0\n2,4,1\n")
     assert load_config(tmp_path / "cfg.yaml").datasets[0].points == ((0, 1), (3, 0), (4, 1))
+
+
+ONE_POINTS = "points: [[0, 0], [1, 1], [2, 0]]"
+
+
+@pytest.mark.parametrize("old, new, data, message", [
+    ("d: 0.3}", "d: true}", None, "wiring 1 interval 1 d: expected a number, got a boolean"),
+    ("d: 0.3}", "d: 1/0}", None,
+     "wiring 1 interval 1 d: bad fraction '1/0' (float division by zero)"),
+    ("d: 0.3}", "d: abc}", None, "wiring 1 interval 1 d: cannot parse number 'abc'"),
+    ("d: 0.3}", "d: [0.3]}", None, "wiring 1 interval 1 d: expected a number, got list"),
+    (ONE_POINTS, "csv: pts.csv", "x,y\n0,0\n1,1,1,1\n", "{dir}/pts.csv: bad row 3: 4 columns"),
+    (ONE_POINTS, "csv: pts.csv", "x,y\n", "{dir}/pts.csv: no data rows"),
+    ("datasets:\n  - " + ONE_POINTS, "datasets: []", None,
+     "'datasets' must be a nonempty list, one entry per vertex"),
+    (ONE_POINTS, "{%s, csv: pts.csv}" % ONE_POINTS, None,
+     "dataset 1: give exactly one of 'points' or 'csv'"),
+    (ONE_POINTS, "points: []", None, "dataset 1: 'points' must be a nonempty list of [x, y]"),
+    ("[1, 1]", "[1, 1, 1]", None, "dataset 1: point 1 must be a [x, y] pair"),
+    ("wiring:\n  - intervals:\n      - {source: 1, d: 0.3}\n      - {source: 1, d: -0.3}\n",
+     "wiring: []\n", None, "'wiring' must be a nonempty list, one entry per vertex"),
+    ("- intervals:", "- blocks: [{source: 1, count: 2, d: 0.3}]\n    intervals:", None,
+     "wiring 1: give exactly one of 'intervals' or 'blocks'"),
+    ("intervals:\n      - {source: 1, d: 0.3}\n      - {source: 1, d: -0.3}\n",
+     "intervals: []\n", None, "wiring 1: 'intervals' must be a nonempty list"),
+    ("wiring:", "condition3_mode: loose\nwiring:", None,
+     f"{{cfg}}: condition3_mode must be one of {list(CONDITION3_MODES)}, got 'loose'"),
+], ids=["boolean", "bad-fraction", "unparsable", "not-a-number", "csv-columns", "csv-no-rows",
+        "no-datasets", "points-and-csv", "no-points", "not-a-pair", "no-wiring", "two-forms",
+        "empty-form", "condition3-mode"])
+def test_each_config_error_is_one_error_line(tmp_path, capsys, old, new, data, message):
+    if data is not None:
+        (tmp_path / "pts.csv").write_text(data)
+    assert old in MINIMAL
+    path = write_config(tmp_path, MINIMAL.replace(old, new))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(cfg=path, dir=tmp_path)}\n"
+    assert captured.out == ""
+
+
+def test_a_blank_csv_row_is_skipped(tmp_path):
+    (tmp_path / "pts.csv").write_text("x,y\n0,0\n\n1,1\n2,0\n")
+    cfg = load_config(write_config(tmp_path, MINIMAL.replace(ONE_POINTS, "csv: pts.csv")))
+    assert cfg.datasets[0].points == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
 
 
 def test_read_points_csv_three_column(tmp_path):

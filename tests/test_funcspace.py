@@ -63,6 +63,19 @@ def test_function_family_refuses_functions_out_of_vertex_order():
         FunctionFamily(tuple(fns))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ex1, ex2: fixed_point(ex1, 64, np.inf, 200), "tol must be positive and finite"),
+    (lambda ex1, ex2: fixed_point(ex1, 64, 1e-9, 0), "max_iters must be at least 1"),
+    (lambda ex1, ex2: family_distance(initial_family(ex2, 16), initial_family(ex1, 16)),
+     "family size mismatch: 2 vs 1"),
+    (lambda ex1, ex2: FunctionFamily(()), "a family needs at least one function"),
+], ids=["infinite-tol", "no-sweep", "family-sizes", "empty-family"])
+def test_solver_calls_refuse_arguments_they_cannot_meet(ex1_system, ex2_system, call, message):
+    # An infinite tol stopped after one sweep, 4.7 from the next iterate.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ex1_system, ex2_system)
+
+
 def test_initial_family_is_endpoint_chord(ex1_system):
     fam = initial_family(ex1_system, 16)
     fn = fam.get(1)

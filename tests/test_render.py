@@ -147,6 +147,17 @@ def test_rendering_does_not_mutate_inputs(ex1_system, tmp_path):
     assert np.array_equal(clouds[0].points, before)
 
 
+def test_two_clouds_of_a_vertex_draw_as_one_cloud_of_both(ex1_system, tmp_path):
+    # Both renderers drew only the last cloud given for a vertex.
+    (first,) = iterate_attractor(ex1_system, 4, 1e-3)
+    second = AttractorCloud(1, first.points[::-1] * 0.5 + 3.0, 0)
+    both = AttractorCloud(1, np.vstack((first.points, second.points)), 0)
+    for render in (render_svg, render_pgm):
+        render(tmp_path / "two", clouds=(first, second))
+        render(tmp_path / "one", clouds=(both,))
+        assert (tmp_path / "two").read_bytes() == (tmp_path / "one").read_bytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", [0, 1], ids=["x", "y"])
 def test_content_that_is_not_finite_is_refused(bad, column, tmp_path):
