@@ -163,16 +163,16 @@ def _text(value, what: str) -> str:
 def read_points_csv(path) -> list[tuple[int, float, float]]:
     """Read exported samples back: `vertex,x,y` rows (header optional).
 
-    Two-column `x,y` files are accepted too and get vertex 1. Together with
-    the 17-significant-digit export format this round-trips floats exactly.
+    Two-column `x,y` files are accepted too and get vertex 1; blank rows are
+    skipped. Together with the 17-significant-digit export format this
+    round-trips floats exactly.
     """
     rows: list[tuple[int, float, float]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, rec in enumerate(csv.reader(fh), start=1):
-                if not rec:
-                    continue
-                if lineno == 1 and not _is_number(rec[-1]):
+            records = [(lineno, rec) for lineno, rec in enumerate(csv.reader(fh), start=1) if rec]
+            for k, (lineno, rec) in enumerate(records):
+                if k == 0 and not _is_number(rec[-1]):
                     continue  # header row
                 try:
                     if len(rec) == 3:

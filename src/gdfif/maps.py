@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +86,11 @@ class GifsSystem:
 
     `maps[k]` holds vertex k+1's maps in interval order. The constructor
     raises the first violation of `vertex_violations`' per-vertex rules,
-    in `validate`'s words, then requires finite `a, c, e, f` and
-    `0 < a < 1`. So the kernels read the maps as they are, and `r < 1`.
+    in `validate`'s words, then requires finite `a, c, e, f`, `0 < a < 1`
+    and the interpolation rule: each map carries its source's end points
+    onto its interval's knots, within 1e-6 of the interval's width in x and
+    1e-6 (1 + max |F|) in y. So the kernels read the maps as they are,
+    `r < 1`, and every attractor is the graph of an interpolant.
     `build_system` runs `validate` first, for the width rule.
     """
 
@@ -104,11 +108,19 @@ class GifsSystem:
         for alpha, (ds, row) in enumerate(zip(self.datasets, self.maps), start=1):
             for v in vertex_violations(alpha, n, ds, [(m.source_vertex, m.d) for m in row]):
                 raise ValueError(v.message)
-            if not all(m.a > 0 and all(map(math.isfinite, (m.a, m.c, m.e, m.f))) for m in row):
+        y_tols = [1e-6 * (1.0 + max(abs(F) for _, F in ds.points)) for ds in self.datasets]
+        for (alpha, i, misses), m in zip(_knot_misses(self), chain(*self.maps)):
+            # a, c, e and f each reach an image, so a non-finite one shows here
+            if not (m.a > 0 and all(map(math.isfinite, misses))):
                 raise ValueError(f"the maps of vertex {alpha} leave the float range")
-            for i, m in enumerate(row, start=1):
-                if not m.a < 1:
-                    raise ValueError(f"interval {i} of vertex {alpha} has a = {m.a:g}, must be < 1")
+            if not m.a < 1:
+                raise ValueError(f"interval {i} of vertex {alpha} has a = {m.a:g}, must be < 1")
+            (p, _), (q, _) = self.datasets[alpha - 1].points[i - 1:i + 1]
+            for k, (miss, tol) in enumerate(zip(misses, (1e-6 * (q - p), y_tols[alpha - 1]) * 2)):
+                if not miss <= tol:
+                    raise ValueError(f"interval {i} of vertex {alpha} lands {miss:.3e} off its "
+                                     f"{('left', 'right')[k // 2]} knot in {'xy'[k % 2]}, "
+                                     f"past the tolerance {tol:.3e}")
 
     @property
     def r(self) -> float:
@@ -144,10 +156,10 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
 
     Raises InvalidSystemError, a ValueError, when validation reports any
     violation; its message carries the first few violation messages and
-    its `report` the full ValidationReport. On success the returned
-    system's maps satisfy the endpoint constraints to round-off, and the
-    width rule, each data set's own span included, gives every map
-    0 < a < 1 after rounding too.
+    its `report` the full ValidationReport. The width rule, each data
+    set's own span included, gives every map 0 < a < 1 after rounding. The
+    closed form multiplies abscissas together, so maps of data far from the
+    origin can miss their knots: `GifsSystem` then raises ValueError.
     """
     report = validate(datasets, plan, mode)
     if not report.ok:
@@ -180,20 +192,26 @@ def build_system(datasets, plan: WiringPlan, mode: str = STRICT_MODE) -> GifsSys
     return GifsSystem(datasets, tuple(all_maps))
 
 
-def endpoint_residuals(system: GifsSystem) -> float:
-    """Worst absolute endpoint mismatch over every map in the system.
+def _knot_misses(system: GifsSystem) -> list[tuple[int, int, tuple[float, ...]]]:
+    """(alpha, i, misses) for each map onto interval i of vertex alpha, in order.
 
-    Each map must send the source's first point to its target interval's left
-    knot and the source's last point to the right knot; the residual is the
-    largest coordinate-wise error over all maps and both endpoints. Zero up
-    to round-off for any system built by `build_system`.
+    The misses are |x0 - p|, |y0 - P|, |x1 - q|, |y1 - Q|, from the images
+    (x0, y0) and (x1, y1) of the source's first and last points, rounded as
+    by `transform_points`, to the interval's knots (p, P) and (q, Q).
     """
-    worst = 0.0
-    for alpha in range(1, system.n + 1):
-        knots = np.array(system.dataset(alpha).points)
-        for i, m in enumerate(system.maps_for(alpha)):
-            source = system.dataset(m.source_vertex)
-            got = transform_points(m, np.array([source.first, source.last]))
-            want = knots[i:i + 2]
-            worst = max(worst, float(np.abs(got - want).max()))
-    return worst
+    out = []
+    with np.errstate(all="ignore"):  # the coefficients may be NumPy floats
+        for alpha, (target, row) in enumerate(zip(system.datasets, system.maps), start=1):
+            for i, m in enumerate(row, start=1):
+                source = system.datasets[m.source_vertex - 1]
+                (u0, U0), (u1, U1) = source.first, source.last
+                (p, P), (q, Q) = target.points[i - 1:i + 1]
+                out.append((alpha, i, (abs(u0 * m.a + m.e - p), abs(U0 * m.d + m.c * u0 + m.f - P),
+                                       abs(u1 * m.a + m.e - q), abs(U1 * m.d + m.c * u1 + m.f - Q))))
+    return out
+
+
+def endpoint_residuals(system: GifsSystem) -> float:
+    """Worst absolute endpoint mismatch over every map in the system: the
+    largest of the misses at the knots that the constructor checked."""
+    return max(max(misses) for *_, misses in _knot_misses(system))

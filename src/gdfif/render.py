@@ -61,24 +61,18 @@ def export_csv(path, family=None, clouds=None) -> None:
     with open(path, "wb") as fh:
         fh.write(b"vertex,x,y\n")
         for vertex, (x, y) in columns.items():
-            order = _row_order(x, y)
-            label = b"%d" % vertex
-            for lo in range(0, len(x), _CSV_BLOCK):
-                rows = slice(lo, lo + _CSV_BLOCK) if order is None else order[lo:lo + _CSV_BLOCK]
-                fh.write(_csv_rows(label, np.column_stack((x[rows], y[rows]))))
+            for rows in np.split(_row_order(x, y), range(_CSV_BLOCK, len(x), _CSV_BLOCK)):
+                fh.write(_csv_rows(b"%d" % vertex, np.column_stack((x[rows], y[rows]))))
 
 
 def _row_order(x, y):
-    """The stable order of one vertex's rows by (x, y), or None when x
-    strictly ascends, as it does on every curve grid.
+    """The stable order of one vertex's rows by (x, y).
 
     A quicksort of x alone, whose runs of equal x (-0.0 and 0.0, or two
     infinities, among them) are then put in (y, row) order by one lexsort
     over the rows in those runs. The quicksort puts NaN last, and a run of
     NaN counts as a run of equal x.
     """
-    if (x[1:] > x[:-1]).all():
-        return None
     order = np.argsort(x)
     sorted_x = x[order]
     tie = (sorted_x[1:] == sorted_x[:-1]) | np.isnan(sorted_x[:-1])

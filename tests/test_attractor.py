@@ -43,8 +43,9 @@ def test_an_image_past_the_float_range_raises_naming_the_vertex():
 
 
 def test_a_walk_past_the_float_range_names_the_vertex_whose_maps_overflow():
-    # Vertex 1 reads only vertex 2, whose maps overflow; vertex 1's maps do not.
-    system = build_system([DataSet(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))),
+    # Vertex 1 reads only vertex 2, whose maps overflow; vertex 1's maps do
+    # not. Both data sets sit at one scale, so every map lands on its knots.
+    system = build_system([DataSet(((0.0, 1e308), (0.5, 1e308), (1.0, 1e308))),
                            DataSet(((0.0, 1e308), (0.5, 1.7e308), (1.0, 1e308)))],
                           WiringPlan.from_pairs([[(2, 0.5)] * 2] * 2), USED_EDGES_MODE)
     for sample in (lambda: iterate_attractor(system, 3, 0), lambda: chaos_game(system, 2000)):

@@ -337,6 +337,21 @@ def test_a_blank_csv_row_is_skipped(tmp_path):
     assert cfg.datasets[0].points == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
 
 
+@pytest.mark.parametrize("data", ["\nx,y\n0,0\n1,1\n2,0\n", "\n\nx,y\n\n0,0\n1,1\n2,0\n"])
+def test_a_header_after_blank_rows_is_a_header(tmp_path, data):
+    (tmp_path / "pts.csv").write_text(data)
+    cfg = load_config(write_config(tmp_path, MINIMAL.replace(ONE_POINTS, "csv: pts.csv")))
+    assert cfg.datasets[0].points == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
+
+
+def test_a_header_is_only_the_first_row_that_is_not_blank(tmp_path, capsys):
+    (tmp_path / "pts.csv").write_text("\nx,y\nx,y\n0,0\n1,1\n2,0\n")
+    path = write_config(tmp_path, MINIMAL.replace(ONE_POINTS, "csv: pts.csv"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path}/pts.csv: bad row 3: could not convert "
+                                       "string to float: 'x'\n")
+
+
 def test_read_points_csv_three_column(tmp_path):
     p = tmp_path / "rows.csv"
     p.write_text("vertex,x,y\n2,0.5,1.5\n1,0.25,-3\n")
@@ -445,6 +460,24 @@ def test_eval_refuses_a_depth_past_the_chain_bound(capsys):
     # A knot is answered at the first level, so the bound itself is cheap here.
     assert main(["eval", "example1", "--x", "0", "--depth", "1048576"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+
+def test_eval_refuses_data_whose_maps_miss_their_knots(tmp_path, capsys):
+    # Data near x = 1e9 pass `validate`, but the closed form's products of
+    # abscissas lose the knots, so the system is refused where it is made.
+    path = write_config(tmp_path, """\
+datasets:
+  - points: [[1.0e+9, 0], [1000000001.0, 1], [1000000002.0, -0.5], [1000000003.0, 0.25]]
+wiring:
+  - intervals: [{source: 1, d: 0.5}, {source: 1, d: -0.3}, {source: 1, d: 0.4}]
+""")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(path), "--x", "1000000000.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: interval 2 of vertex 1 lands 1.000e+00 off its left knot in "
+                            "x, past the tolerance 1.000e-06\n")
 
 
 def test_eval_out_of_range_is_structural(capsys):

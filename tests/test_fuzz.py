@@ -167,6 +167,20 @@ def test_every_config_ends_in_a_documented_exit(tmp_path, capsys):
     assert set(codes) == {0, 1, 2, 3}
 
 
+def test_a_config_whose_maps_miss_their_knots_is_refused(tmp_path, capsys):
+    # Seed 43, config 5: three data sets near x = -2.7e-231, whose narrowest
+    # interval is 2e-245 wide. The closed form lands a map 2.1e-231 off its
+    # knot, so without the rule the run exits 0 with a summary whose
+    # `hausdorff` is 1e166 narrowest widths.
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        random_config(rng)
+        rng.uniform(0.0, 1.0)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(random_config(rng)))
+    assert check_exit(["run", str(cfg), "--outdir", str(tmp_path / "out")], capsys) == 2
+
+
 def test_configs_at_the_float_range_edge_end_in_a_documented_exit(tmp_path, capsys):
     codes = []
     for seed in EDGE_SEEDS:

@@ -1,5 +1,7 @@
 """Affine map construction: closed-form coefficients and endpoint identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from gdfif import (
     CONDITION3_MODES,
     AffineMap,
     DataSet,
+    GifsSystem,
     InvalidSystemError,
     WiringPlan,
     apply_map,
     build_system,
     endpoint_residuals,
+    iterate_attractor,
     validate,
 )
 from conftest import EX1_POINTS, EX1_SCALES, make_plan
@@ -98,6 +102,45 @@ def test_endpoint_residuals_examples(ex1_system, ex2_system, flat_system):
     assert endpoint_residuals(ex1_system) <= 1e-12
     assert endpoint_residuals(ex2_system) <= 1e-12
     assert endpoint_residuals(flat_system) == 0.0
+
+
+# Interval 2 of example1 reads a source that starts at x = 0, so e and f
+# move both images and a and c only the image of the source's last point;
+# the left knot is checked first. A shift 1e4 times smaller passes.
+@pytest.mark.parametrize("field, miss, knot, coordinate, tol", [
+    ("e", "1.000e-03", "left", "x", "3.000e-06"),
+    ("a", "1.000e-02", "right", "x", "3.000e-06"),
+    ("f", "1.000e-03", "left", "y", "6.000e-06"),
+    ("c", "1.000e-02", "right", "y", "6.000e-06"),
+])
+@pytest.mark.parametrize("make", ["direct", "replace"])
+def test_a_map_that_misses_its_knot_is_refused(ex1_system, field, miss, knot, coordinate, tol,
+                                               make):
+    def system(shift):
+        row = list(ex1_system.maps_for(1))
+        row[1] = row[1]._replace(**{field: getattr(row[1], field) + shift})
+        if make == "direct":
+            return GifsSystem(ex1_system.datasets, (tuple(row),))
+        return dataclasses.replace(ex1_system, maps=(tuple(row),))
+
+    with pytest.raises(ValueError) as exc:
+        system(1e-3)
+    assert str(exc.value) == (f"interval 2 of vertex 1 lands {miss} off its {knot} knot in "
+                              f"{coordinate}, past the tolerance {tol}")
+    assert endpoint_residuals(system(1e-7)) > 0.0
+
+
+def test_data_far_from_the_origin_is_refused_where_its_maps_miss_the_knots():
+    # The closed form multiplies abscissas together: near 1e9 the products
+    # lose the knots, and the same data shifted to start at 0 keep them.
+    points = ((1e9, 0.0), (1e9 + 1, 1.0), (1e9 + 2, -0.5), (1e9 + 3, 0.25))
+    plan = WiringPlan.from_pairs([[(1, 0.5), (1, -0.3), (1, 0.4)]])
+    assert validate([DataSet(points)], plan).ok
+    with pytest.raises(ValueError, match=r"^interval 2 of vertex 1 lands 1\.000e\+00 off its "
+                                         r"left knot in x, past the tolerance 1\.000e-06$"):
+        iterate_attractor(build_system([DataSet(points)], plan), 6, 0.0)
+    shifted = build_system([DataSet(tuple((x - 1e9, y) for x, y in points))], plan)
+    assert endpoint_residuals(shifted) <= 1e-15
 
 
 def test_endpoint_residuals_random_systems(rng):
