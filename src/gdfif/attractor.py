@@ -396,35 +396,47 @@ _PROBES = 64
 def directed_hausdorff(p_points, q_points) -> float:
     """max over p of min over q of the max-norm distance, exactly.
 
-    Q is sorted by x, and each p scans outward from its place in that
-    order, on both sides, until the next candidate on each side is at least
-    its best distance so far away in x: no later candidate can then be
-    nearer, so its best is exact. Only points that can still raise the
-    maximum are scanned that far. A floor, the largest exact best so far,
-    rises as points finish (and as a few probes with the largest bounds
-    are finished first), and a point whose best is at most the floor
-    leaves the scan. Points that crowd one x-strip scan again in y order,
-    where the same stopping rule holds. Every distance is max(|dx|, |dy|)
-    of the input doubles, so the result is the exact nearest-neighbour
-    maximum. Raises ValueError on an empty set or a coordinate that is not
+    Q is put in x order (kept as given when it is already ascending in x,
+    as a deduplicated cloud and a curve grid are), and each p scans
+    outward from its place in that order, on both sides, until the next
+    candidate on each side is at least its best distance so far away in x:
+    no later candidate can then be nearer, so its best is exact. Only
+    points that can still raise the maximum are scanned that far. A floor,
+    the largest exact best so far, rises as points finish (and as a few
+    probes with the largest bounds are finished first), and a point whose
+    best is at most the floor leaves the scan. Points that crowd one
+    x-strip scan again in y order, where the same stopping rule holds.
+    Every distance is max(|dx|, |dy|) of the input doubles, so the result
+    is the exact nearest-neighbour maximum, whatever the order of the
+    input. Raises ValueError on an empty set or a coordinate that is not
     finite.
     """
     return _directed(_as_point_array(p_points), _as_point_array(q_points), 0.0)
 
 
 def _directed(P, Q, floor):
-    """max(floor, directed_hausdorff(P, Q)) of checked point arrays."""
+    """max(floor, directed_hausdorff(P, Q)) of checked point arrays.
+
+    Q is scanned as given along an axis on which it is already ascending,
+    which one pass of comparisons shows, and sorted by that axis
+    otherwise. The result is the same double for any ascending order of
+    Q: ties in the scan axis may come in any order, and a point still
+    stops scanning only at its exact nearest distance.
+    """
     best = np.full(len(P), np.inf)
     active = np.arange(len(P))
     for axis in (0, 1):
         if axis and active.size <= _PROBES:
             break  # a few points cost less against all of Q than sorting Q by y
         # Scan along u, the axis'th coordinate; w is the other one.
-        q = Q[np.argsort(Q[:, axis])]
+        qu, qw = Q[:, axis], Q[:, 1 - axis]
+        if not (qu[1:] >= qu[:-1]).all():
+            order = np.argsort(qu)
+            qu, qw = qu[order], qw[order]
         # -inf/+inf sentinels end both sides: infinitely far in u and in distance.
-        qu = np.concatenate(([-np.inf], q[:, axis], [np.inf]))
-        qw = np.concatenate(([0.0], q[:, 1 - axis], [0.0]))
-        pu, pw = P[:, axis].copy(), P[:, 1 - axis].copy()
+        qu = np.concatenate(([-np.inf], qu, [np.inf]))
+        qw = np.concatenate(([0.0], qw, [0.0]))
+        pu, pw = np.ascontiguousarray(P[:, axis]), np.ascontiguousarray(P[:, 1 - axis])
         floor, active = _window_scan(pu, pw, qu, qw, best, active, floor, probe=not axis)
         if not active.size:
             return floor
@@ -435,20 +447,43 @@ def _directed(P, Q, floor):
 def _window_scan(pu, pw, qu, qw, best, active, floor, probe):
     """Scan the active points along u; return the raised floor and the
     points still scanning after the last window step.
+
+    active holds rows of P in ascending order. When it holds every row,
+    the first step runs on whole columns, and an ascending P with more
+    points than Q and its two sentinels is located by searching Q into P
+    instead of P into Q.
     """
-    start = np.zeros(len(pu), dtype=np.intp)
-    start[active] = np.searchsorted(qu, pu[active])  # qu[start - 1] < pu <= qu[start]
+    every = active.size == len(pu)  # active is then range(len(pu))
+    if every and len(pu) > len(qu) and (pu[1:] >= pu[:-1]).all():
+        # The start below, found by the fewer searches of Q into P: start
+        # is j on the run of P from the place of qu[j - 1] to that of qu[j].
+        place = np.searchsorted(pu, qu, side="right")
+        start = np.repeat(np.arange(len(qu)), np.diff(place, prepend=0))
+    else:
+        start = np.zeros(len(pu), dtype=np.intp)
+        start[active] = np.searchsorted(qu, pu[active])  # qu[start - 1] < pu <= qu[start]
     for step in range(_WINDOW_STEPS):
         width = 1 << step  # the steps before covered width - 1 per side
-        offsets = np.arange(width - 1, 2 * width - 1)
-        offsets = np.concatenate((offsets, -1 - offsets))[:, None]
-        # Candidates run down axis 0, so the min is elementwise across rows.
-        for k in _blocks(active, len(offsets)):
-            j = np.clip(start[k] + offsets, 0, len(qu) - 1)
-            du, dw = qu[j], qw[j]
-            du -= pu[k]
-            dw -= pw[k]
-            best[k] = np.minimum(best[k], _max_norm_min(du, dw, axis=0))
+        if step == 0 and every:
+            # Each point's two neighbours in u, start - 1 and start, which
+            # the sentinels keep in range: no row gathers and no clip.
+            for j in (start - 1, start):
+                du, dw = qu[j], qw[j]
+                du -= pu
+                dw -= pw
+                np.abs(du, out=du)
+                np.abs(dw, out=dw)
+                np.minimum(best, np.maximum(du, dw, out=du), out=best)
+        else:
+            offsets = np.arange(width - 1, 2 * width - 1)
+            offsets = np.concatenate((offsets, -1 - offsets))[:, None]
+            # Candidates run down axis 0, so the min is elementwise across rows.
+            for k in _blocks(active, len(offsets)):
+                j = np.clip(start[k] + offsets, 0, len(qu) - 1)
+                du, dw = qu[j], qw[j]
+                du -= pu[k]
+                dw -= pw[k]
+                best[k] = np.minimum(best[k], _max_norm_min(du, dw, axis=0))
         if probe and step == 0:
             floor = _probe(pu, pw, qu, qw, best, active, floor)
         # A point at or below the floor cannot raise the maximum.

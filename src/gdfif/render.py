@@ -343,7 +343,8 @@ def _dot_paths(x, y, panel):
     s is then within 2**-37 of the exact product, so `rint` gives the cents
     that `%.2f` rounds to. Any other dot (a tie or near-tie, a coordinate
     of 999.995 or more, a NaN or an infinity) is written as that `%`
-    template and formatted by `%` in place.
+    template and formatted by `%` in place; a path with no such dot skips
+    the `%` pass.
     """
     v = np.column_stack(panel.project(x, y))
     for lo in range(0, len(v), _DOT_CHUNK):
@@ -360,7 +361,7 @@ def _dot_paths(x, y, panel):
         other = ~(plain[:, 0] & plain[:, 1])
         words[other] = _PERCENT
         text = words.tobytes().translate(None, b"\0").decode("ascii")
-        yield text % tuple(chunk[other].ravel().tolist())
+        yield text % tuple(chunk[other].ravel().tolist()) if other.any() else text
 
 
 def render_pgm(path, clouds) -> None:

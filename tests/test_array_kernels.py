@@ -808,6 +808,72 @@ def test_hausdorff_adversarial_cases(rng):
         assert_hausdorff_matches_reference(p, q)
 
 
+def _count_argsort(monkeypatch):
+    """A list that grows by one at each call of np.argsort from here on."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    return calls
+
+
+def test_hausdorff_on_inputs_already_in_x_order(rng, monkeypatch):
+    # Q ascending in x is scanned as given; P ascending in x and longer
+    # than Q is located by searching Q into P. Neither may move a bit.
+    calls = _count_argsort(monkeypatch)
+    nodes = np.linspace(-1.0, 1.0, 41)
+    curve = np.column_stack((nodes, np.sin(3 * nodes)))
+    # P's abscissas hit every node of Q, most of them three times over.
+    on_nodes = np.sort(np.concatenate((np.repeat(nodes, 3), rng.uniform(-1.2, 1.2, 200))))
+    cloud = np.column_stack((on_nodes, np.sin(3 * on_nodes) + rng.normal(0.0, 0.05, len(on_nodes))))
+    zeros = np.array([[-1.0, 0.5], [-0.0, 0.25], [0.0, -0.25], [-0.0, 0.125], [0.0, 0.75],
+                      [0.0, 2.0], [-0.0, -1.0], [0.5, 0.0]])
+    signed = np.column_stack((np.repeat([-0.5, -0.0, 0.0, -0.0, 0.0, 0.5], 4),
+                              rng.normal(size=24)))
+    one = np.array([[0.25, 0.5]])
+    cases = [
+        (cloud, curve),  # ascending P longer than Q
+        (curve, cloud),  # ascending P shorter than Q
+        (signed, zeros),  # -0.0 and 0.0 in the scan column, both sides
+        (zeros, signed),
+        (one, curve),
+        (curve, one),
+        (one, one),
+        (cloud[:1], cloud[-1:]),
+    ]
+    for p, q in cases:
+        assert_hausdorff_matches_reference(p, q)
+    # A P whose halves come in the wrong order steps back in x once. It is
+    # located point by point: located as if ascending, nearly every point
+    # would start half the span away, scan on in y and sort Q by y.
+    nodes = np.linspace(-1.0, 1.0, 2001)
+    fine = np.column_stack((nodes, np.sin(3 * nodes)))
+    x = np.sort(rng.uniform(-1.0, 1.0, 5000))
+    halves = np.column_stack((x, np.sin(3 * x) + rng.normal(0.0, 0.01, 5000)))
+    halves = np.vstack((halves[2500:], halves[:2500]))
+    calls.clear()
+    assert directed_hausdorff(halves, fine).hex() == directed_hausdorff_reference(halves, fine).hex()
+    assert calls == []
+    # One Q given sorted and shuffled; P has too few points to scan in y.
+    want = directed_hausdorff_reference(curve, cloud).hex()
+    assert directed_hausdorff(curve, cloud).hex() == want
+    assert calls == []
+    assert directed_hausdorff(curve, rng.permutation(cloud)).hex() == want
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", ["example2b", "wide"])
+def test_summary_query_sorts_nothing(name, monkeypatch):
+    # Every deduplicated cloud and every curve grid is ascending in x, so
+    # the summary's query scans both as given. A cloud that lost its x
+    # order would be sorted instead, and still measured exactly: only this
+    # count shows it.
+    family, clouds = _solved(name)
+    calls = _count_argsort(monkeypatch)
+    for cloud, fn in zip(clouds, family):
+        hausdorff_distance(cloud.points, fn.as_points())
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", [EXACT, {"_WIDTH": 300, "_HEIGHT": 200, "_MARGIN": 7}, {}])
 def test_render_pgm_matches_scalar_reference(spec, edge_clouds, tmp_path, monkeypatch):
     _use_canvas(monkeypatch, spec)
