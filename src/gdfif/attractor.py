@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import GifsSystem, transform_points
+from .maps import GifsSystem, _refuse_non_finite, transform_points
 
 
 class CloudBudgetError(RuntimeError):
@@ -107,8 +107,8 @@ def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
             transform_points(m, src.points, out=images[lo:lo + len(src)])
             lo += len(src)
         box = _image_box(maps, sources)
-        if box is None and not np.isfinite((images.min(), images.max())).all():
-            raise ValueError(f"the maps of vertex {alpha} leave the float range")
+        if box is None:
+            _refuse_non_finite(images, alpha)
         out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1, box))
     return tuple(out)
 
@@ -150,10 +150,10 @@ def _dedup(points: np.ndarray, tol: float, box=None) -> np.ndarray:
     never moves a point; it only thins clusters closer than about tol.
     Each point's cell number goes above its row index in one int64 key, so
     a single sort groups the cells with the first-seen row leading each;
-    cells too many to pack, or numbered past int64 (a tiny tol), are grouped
-    by a two-column lexsort of the float cell numbers. The kept rows are
-    returned column-major. Raises ValueError when a cell number is not
-    finite.
+    cells too many to pack, or numbered past int64 (a tiny tol), go to
+    `np.unique` as finite x + iy cell numbers, sorted by x, then y, with
+    each one's first row. The kept rows are returned column-major. Raises
+    ValueError, before either grouping, when a cell number is not finite.
 
     v -> round(v / tol) is monotone for tol > 0, and NaN and inf go through
     it as themselves, so the cell numbers of `box`, (x lo, x hi, y lo, y hi)
@@ -182,14 +182,8 @@ def _dedup(points: np.ndarray, tol: float, box=None) -> np.ndarray:
     ny = int(y1) - int(y0) + 1
     in_int64 = -_KEY_LIMIT <= min(x0, y0) and max(x1, y1) < _KEY_LIMIT
     if (nx * ny) << bits > _KEY_LIMIT or not in_int64:
-        fx = np.round(x / tol)
-        fy = np.round(y / tol)
-        order = np.lexsort((fy, fx))
-        fx = fx[order]
-        fy = fy[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (fx[1:] != fx[:-1]) | (fy[1:] != fy[:-1])
-        return _take_rows(points, np.sort(order[first]))
+        cells = np.round(x / tol) + 1j * np.round(y / tol)
+        return _take_rows(points, np.sort(np.unique(cells, return_index=True)[1]))
     # One block's float cell numbers, its flags of the rows that start a
     # new cell, and its cells after the cell of the row before it (-1
     # before the first row: cells number from 0), reused for the flags'
@@ -337,10 +331,8 @@ def chaos_game(
             add(x)
             add(y)
         flat[2 * lo:2 * lo + len(walk)] = walk
-    if not np.isfinite((points.min(), points.max())).all():
-        # the walk's first point past the range had a finite source
-        first = np.argmin(np.isfinite(points).all(axis=1))
-        raise ValueError(f"the maps of vertex {vertex[first] + 1} leave the float range")
+    # the walk's first point past the range had a finite source
+    _refuse_non_finite(points, vertex + 1)
     clouds = []
     for alpha in range(1, n + 1):
         pts = np.compress(vertex == alpha - 1, points, axis=0)[burn_in:]

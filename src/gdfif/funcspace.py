@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .maps import GifsSystem
+from .maps import GifsSystem, _refuse_non_finite
 from .model import DataSet
 
 
@@ -209,6 +209,7 @@ class _Transfer:
         maps = np.fromiter(chain.from_iterable(chain(*system.maps)), float).reshape(-1, 6)
         a, c, self._d, e, self._f = np.split(maps[:, :5], 5, axis=1)
         firsts = np.cumsum([0] + [ds.n_intervals for ds in datasets])
+        self._vertex = np.repeat(np.arange(1, len(datasets) + 1), np.diff(firsts))
         # the abscissas in C order, unlike the blocks, so that row slices are views
         x = np.concatenate([_blocks(ds, resolution) for ds in datasets],
                            out=np.empty((len(maps), resolution)))
@@ -216,7 +217,7 @@ class _Transfer:
         narrow = ~(np.diff(x, axis=1) > 0).all(axis=1)
         if narrow.any():
             row = int(np.argmax(narrow))
-            alpha = int(np.searchsorted(firsts, row, side="right"))
+            alpha = int(self._vertex[row])
             raise ValueError(
                 f"interval {row - firsts[alpha - 1] + 1} of vertex {alpha} is too narrow to "
                 f"sample at resolution {resolution}: its grid repeats nodes")
@@ -254,16 +255,9 @@ class _Transfer:
         self._j, self._dg, self._dt, self._ct = j, dg, t, ct
         self._idx = np.empty(t[:per].size, dtype=np.intp)
         self._buf = np.empty((2, self._idx.size))
-        self._firsts = firsts[:-1]
         self._knots = np.concatenate([np.column_stack((ds.fs[:-1], ds.fs[1:]))
                                       for ds in datasets])
         self._step = resolution - 1
-
-    def _in_float_range(self, finite: np.ndarray) -> None:
-        """Raise ValueError naming the vertex of the first map whose `finite` is False."""
-        if not finite.all():
-            alpha = np.searchsorted(self._firsts, np.argmin(finite), side="right")
-            raise ValueError(f"the maps of vertex {alpha} leave the float range")
 
     # np.interp's formula runs at every entry, also where a node value then
     # replaces it: there a slope may overflow, and its product with dt = 0 is NaN.
@@ -312,7 +306,7 @@ def apply_T(system: GifsSystem, family: FunctionFamily, resolution: int) -> Func
     _check_family(system, family)
     sweep = _Transfer(system, resolution, [fn.grid for fn in family])
     new = sweep(np.concatenate([fn.values for fn in family]))
-    sweep._in_float_range(np.isfinite(new).all(axis=1))
+    _refuse_non_finite(new, sweep._vertex)
     return _as_family(system.datasets, new)
 
 
@@ -379,7 +373,7 @@ def fixed_point(
         np.subtract(values, nxt, out=values)
         deltas.append(float(np.max(np.abs(values, out=values))))
         if not math.isfinite(deltas[-1]):
-            sweep._in_float_range(np.isfinite(values).all(axis=1))
+            _refuse_non_finite(values, sweep._vertex)
         values = nxt
         if deltas[-1] <= tol:
             break
@@ -463,5 +457,5 @@ def evaluate_exact(system: GifsSystem, alpha: int, x: float, depth: int) -> floa
     for c, d, f, t in reversed(levels):
         value = c * t + d * value + f
     if not math.isfinite(value):
-        raise ValueError(f"the maps of vertex {alpha} leave the float range")
+        _refuse_non_finite(np.array([[value]]), alpha)
     return value

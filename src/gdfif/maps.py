@@ -211,6 +211,16 @@ def _knot_misses(system: GifsSystem) -> list[tuple[int, int, tuple[float, ...]]]
     return out
 
 
+def _refuse_non_finite(values: np.ndarray, vertex) -> None:
+    """Raise ValueError naming the vertex of the first row of the 2-d `values`
+    that holds a value past the float range; `vertex` is one for every row
+    or an array of one per row. The row is located only when one min/max pass fails."""
+    if not np.isfinite((values.min(), values.max())).all():
+        row = np.argmin(np.isfinite(values).all(axis=1))
+        alpha = np.broadcast_to(vertex, len(values))[row]
+        raise ValueError(f"the maps of vertex {alpha} leave the float range")
+
+
 def endpoint_residuals(system: GifsSystem) -> float:
     """Worst absolute endpoint mismatch over every map in the system: the
     largest of the misses at the knots that the constructor checked."""

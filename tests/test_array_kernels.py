@@ -291,11 +291,11 @@ def edge_clouds(rng):
 
 
 def _dedup_spied(points, tol, monkeypatch):
-    """_dedup's result, and whether it took the two-column lexsort."""
+    """_dedup's result, and whether it took the np.unique fallback for unpackable cells."""
     calls = []
-    lexsort = np.lexsort
+    unique = np.unique
     with monkeypatch.context() as m:
-        m.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        m.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
         got = _dedup(points, tol)
     return got, bool(calls)
 
@@ -1502,6 +1502,24 @@ def test_evaluate_exact_clamps_pullbacks_as_the_reference_does(seed, alpha, x):
         got = evaluate_exact(system, alpha, x, depth)
         assert np.float64(got).tobytes() == np.float64(
             evaluate_exact_reference(system, alpha, x, depth)).tobytes()
+
+
+def test_evaluate_exact_clamps_a_pullback_below_its_source_domain():
+    # Data away from 0: one ulp above interval 2's left knot, the pullback
+    # rounds below its source's first abscissa and is clamped up onto it.
+    rng = np.random.default_rng(0)
+    datasets = [random_dataset(rng, span=float(rng.uniform(1, 3)), x0=float(rng.uniform(-55, 55)))
+                for _ in range(2)]
+    plan = WiringPlan.from_pairs([[(int(rng.integers(1, 3)), float(rng.uniform(-0.9, 0.9)))
+                                   for _ in range(ds.n_intervals)] for ds in datasets])
+    system = build_system(datasets, plan, USED_EDGES_MODE)
+    x = float(np.nextafter(system.dataset(1).xs[1], np.inf))
+    m = system.maps_for(1)[1]
+    assert (x - m.e) / m.a < system.dataset(m.source_vertex).first[0]
+    for depth in (1, 30):
+        got = evaluate_exact(system, 1, x, depth)
+        assert np.float64(got).tobytes() == np.float64(
+            evaluate_exact_reference(system, 1, x, depth)).tobytes()
 
 
 @pytest.mark.parametrize("args", [

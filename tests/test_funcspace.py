@@ -76,6 +76,17 @@ def test_solver_calls_refuse_arguments_they_cannot_meet(ex1_system, ex2_system, 
         call(ex1_system, ex2_system)
 
 
+@pytest.mark.parametrize("call", [
+    lambda system: fixed_point(system, 1),
+    lambda system: initial_family(system, 1),
+    lambda system: apply_T(system, initial_family(system, 2), 1),
+], ids=["fixed_point", "initial_family", "apply_T"])
+def test_solver_calls_refuse_a_resolution_below_two(ex2_system, call):
+    # The CLI bounds the setting before any of these runs.
+    with pytest.raises(ValueError, match="^resolution must be at least 2$"):
+        call(ex2_system)
+
+
 def test_initial_family_is_endpoint_chord(ex1_system):
     fam = initial_family(ex1_system, 16)
     fn = fam.get(1)

@@ -1,5 +1,6 @@
 """Artifact emission: CSV, SVG, PGM. Everything must be byte-deterministic."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from gdfif import (
     render_svg,
 )
 from gdfif.cli import read_points_csv
+from gdfif.render import _padded
 
 
 def read_pgm(path):
@@ -136,6 +138,21 @@ def test_render_pgm_dimensions(flat_system, tmp_path):
     out = tmp_path / "dims.pgm"
     render_pgm(out, clouds=clouds)
     assert read_pgm(out).shape == (600, 900)
+
+
+def test_a_flat_cloud_past_2_53_draws_across_the_panel_middle(tmp_path):
+    # Past 2**53 a pad of one half leaves a flat range empty; 4% of the
+    # value widens it, so the dots project to the middle, not to 0 / 0.
+    y = 2.0**60
+    lo, hi = _padded(y, y)
+    assert np.isfinite((lo, hi)).all() and lo < y < hi
+    cloud = AttractorCloud(1, np.column_stack((np.linspace(0.0, 1.0, 5), np.full(5, y))), 0)
+    render_svg(tmp_path / "flat.svg", clouds=(cloud,))
+    dots = re.findall(r"M([\d.]+) ([\d.]+)h0", (tmp_path / "flat.svg").read_text())
+    assert len(dots) == 5 and {py for _, py in dots} == {"300.00"}
+    render_pgm(tmp_path / "flat.pgm", clouds=(cloud,))
+    rows, cols = np.nonzero(read_pgm(tmp_path / "flat.pgm") < 255)
+    assert set(rows.tolist()) == {300} and len(set(cols.tolist())) == 5
 
 
 def test_rendering_does_not_mutate_inputs(ex1_system, tmp_path):
