@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -85,21 +84,17 @@ class ProjectConfig:
 
 def bundled_config_path(name: str) -> Path | None:
     """Path of a config shipped with the package, or None."""
-    candidate = resources.files("gdfif") / "configs" / f"{name}.yaml"
-    if candidate.is_file():
-        return Path(os.fspath(candidate))
-    return None
+    candidate = Path(__file__).with_name("configs") / f"{name}.yaml"
+    return candidate if candidate.is_file() else None
 
 
 def resolve_config_arg(arg: str) -> Path:
     """Treat the argument as a path first, then as a bundled config name."""
     path = Path(arg)
-    if path.is_file():
-        return path
-    bundled = bundled_config_path(arg)
-    if bundled is not None:
-        return bundled
-    raise ConfigError(f"no config file at {arg!r} and no bundled config of that name")
+    path = path if path.is_file() else bundled_config_path(arg)
+    if path is None:
+        raise ConfigError(f"no config file at {arg!r} and no bundled config of that name")
+    return path
 
 
 def _number(value, what: str) -> float:
@@ -278,54 +273,54 @@ def load_config(path, flags=None) -> ProjectConfig:
     return _parse_config(raw, path, flags or {})
 
 
-def _safe_load(text: str):
-    """yaml.safe_load, through libyaml when PyYAML was built with it, that
-    refuses a mapping which repeats a key (see `_UniqueKeys`).
-
-    libyaml words some problems differently and marks some at other columns,
-    so a document it rejects is parsed again by the pure-Python loader,
-    whose error is the one reported.
-    """
-    if yaml.__with_libyaml__:
-        try:
-            return yaml.load(text, Loader=type("Loader", (_UniqueKeys, yaml.CSafeLoader), {}))
-        except yaml.YAMLError:
-            pass
-    return yaml.load(text, Loader=type("Loader", (_UniqueKeys, yaml.SafeLoader), {}))
-
-
-_MERGE_TAG = "tag:yaml.org,2002:merge"
-
-
 class _UniqueKeys:
     """A loader mixin that refuses a mapping which repeats a key, where PyYAML
-    keeps the last value. Keys that a merge key (<<) brings in may repeat:
-    the mapping's own keys override them."""
+    keeps the last value, and a tagged scalar its constructor cannot read.
+    PyYAML flattens a mapping before building it and before merging it (<<)
+    into another; its own keys are checked the first time, so keys that a
+    merge brings in may repeat them. The first repeat in build order (a
+    mapping before those inside it, siblings in document order) is named."""
 
-    def construct_document(self, root):
-        # Every mapping is checked before any is built: building a mapping
-        # with a merge key rewrites each mapping it merges that has merge
-        # keys of its own, whose node then lists the keys it merged in.
-        todo, seen = [root], set()
-        while todo:
-            node = todo.pop()
-            if isinstance(node, yaml.ScalarNode) or id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, yaml.SequenceNode):
-                todo.extend(node.value)
-                continue
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._flattened = set()
+
+    def flatten_mapping(self, node):
+        if node not in self._flattened:
+            self._flattened.add(node)
             keys = set()
-            for key_node, value_node in node.value:
-                todo += key_node, value_node
-                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
                     key = self.construct_object(key_node)
                     if key in keys:
                         raise yaml.constructor.ConstructorError(
                             "while constructing a mapping", node.start_mark,
                             f"found a repeated key {key!r}", key_node.start_mark)
                     keys.add(key)
-        return super().construct_document(root)
+        super().flatten_mapping(node)
+
+    def construct_object(self, node, deep=False):
+        # What a scalar constructor raises on text it cannot read, as `!!timestamp x`.
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError):
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.value!r} as {node.tag}", node.start_mark) from None
+
+
+_LOADER = type("Loader", (_UniqueKeys, yaml.SafeLoader), {})
+_CLOADER = type("CLoader", (_UniqueKeys, yaml.CSafeLoader), {}) if yaml.__with_libyaml__ else None
+
+
+def _safe_load(text: str):
+    """yaml.safe_load through `_UniqueKeys`, by libyaml when PyYAML has it. A document
+    libyaml rejects is parsed again in pure Python, whose wording and marks are reported."""
+    if yaml.__with_libyaml__:
+        try:
+            return yaml.load(text, Loader=_CLOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, Loader=_LOADER)
 
 
 def _parse_config(raw, path: Path, flags: dict) -> ProjectConfig:

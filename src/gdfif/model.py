@@ -11,6 +11,7 @@ count mismatch, unknown mode) raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,10 +90,13 @@ class WiringPlan:
         rows = tuple(tuple(row) for row in self.assignments)
         if not rows:
             raise ValueError("a wiring plan needs at least one vertex")
-        for row in rows:
-            for asg in row:
+        for alpha, row in enumerate(rows, start=1):
+            for i, asg in enumerate(row, start=1):
                 if not isinstance(asg, IntervalAssignment):
                     raise TypeError(f"expected IntervalAssignment, got {type(asg).__name__}")
+                if not isinstance(asg.source, numbers.Integral):
+                    raise TypeError(f"interval {i} of vertex {alpha} names source vertex "
+                                    f"{asg.source!r}, which is not an integer")
         object.__setattr__(self, "assignments", rows)
 
     @property
@@ -106,7 +110,7 @@ class WiringPlan:
     def from_pairs(cls, per_vertex) -> "WiringPlan":
         """Build a plan from [[(source, d), ...], ...], one inner list per vertex."""
         return cls(tuple(
-            tuple(IntervalAssignment(int(s), float(d)) for s, d in row)
+            tuple(IntervalAssignment(s, float(d)) for s, d in row)
             for row in per_vertex
         ))
 

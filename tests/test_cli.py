@@ -124,13 +124,13 @@ def test_parse_error_is_the_same_with_and_without_libyaml(tmp_path, monkeypatch,
 @needs_libyaml
 def test_valid_config_is_read_by_libyaml(monkeypatch):
     loaded = []
+    init = yaml.CSafeLoader.__init__
 
-    class Counting(yaml.CSafeLoader):
-        def __init__(self, stream):
-            loaded.append(stream)
-            super().__init__(stream)
+    def counting(self, stream):
+        loaded.append(stream)
+        init(self, stream)
 
-    monkeypatch.setattr(yaml, "CSafeLoader", Counting)
+    monkeypatch.setattr(yaml.CSafeLoader, "__init__", counting)
     for name in ("example1", "example2", "example2b", "flat"):
         with_libyaml = load_config(bundled_config_path(name))
         monkeypatch.setattr(yaml, "__with_libyaml__", False)
@@ -154,6 +154,42 @@ def test_a_repeated_key_is_one_parse_error_naming_it(tmp_path, capsys, monkeypat
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: parse error in {path} at {where}: found a repeated key {key}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+def test_the_first_of_two_sibling_repeats_is_named(tmp_path, capsys, monkeypatch, with_libyaml):
+    # A walk of the document from its last mapping named 'd' at line 2.
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    path = write_config(tmp_path, "a: {b: 1, b: 2}\nc: {d: 1, d: 2}\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: parse error in {path} at line 1, column 11: found a repeated key 'b'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+@pytest.mark.parametrize("extra, where, problem", [
+    ("name: !!bool x\n", "line 7, column 7", "cannot read 'x' as tag:yaml.org,2002:bool"),
+    ("name: !!int x\n", "line 7, column 7", "cannot read 'x' as tag:yaml.org,2002:int"),
+    ("name: !!float x\n", "line 7, column 7", "cannot read 'x' as tag:yaml.org,2002:float"),
+    ("name: !!timestamp 2020-13-45\n", "line 7, column 7",
+     "cannot read '2020-13-45' as tag:yaml.org,2002:timestamp"),
+    ("name: !!timestamp x\n", "line 7, column 7", "cannot read 'x' as tag:yaml.org,2002:timestamp"),
+    ("name: !!float ''\n", "line 7, column 7", "cannot read '' as tag:yaml.org,2002:float"),
+    ("solver: {!!int x: 1}\n", "line 7, column 10", "cannot read 'x' as tag:yaml.org,2002:int"),
+], ids=["bool", "int", "float", "timestamp", "timestamp-form", "empty-float", "key"])
+def test_an_unreadable_tagged_scalar_is_one_parse_error(tmp_path, capsys, monkeypatch,
+                                                         with_libyaml, extra, where, problem):
+    # !!bool and a !!timestamp of no known form ended in a traceback (exit 1),
+    # an empty !!float in an IndexError, the others in an error naming no line.
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    path = write_config(tmp_path, MINIMAL + extra)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: parse error in {path} at {where}: {problem}\n"
     assert captured.out == ""
 
 
@@ -337,7 +373,8 @@ def test_a_blank_csv_row_is_skipped(tmp_path):
     assert cfg.datasets[0].points == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
 
 
-@pytest.mark.parametrize("data", ["\nx,y\n0,0\n1,1\n2,0\n", "\n\nx,y\n\n0,0\n1,1\n2,0\n"])
+@pytest.mark.parametrize("data", ["\nx,y\n0,0\n1,1\n2,0\n", "\n\nx,y\n\n0,0\n1,1\n2,0\n",
+                                  "0,0\n1,1\n2,0\n", "1,0,0\n1,1,1\n1,2,0\n"])
 def test_a_header_after_blank_rows_is_a_header(tmp_path, data):
     (tmp_path / "pts.csv").write_text(data)
     cfg = load_config(write_config(tmp_path, MINIMAL.replace(ONE_POINTS, "csv: pts.csv")))

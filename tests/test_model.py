@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gdfif import (
@@ -213,6 +214,24 @@ def test_wiring_plan_needs_a_vertex():
         WiringPlan(())
     with pytest.raises(TypeError):
         WiringPlan((((1, 0.2),),))  # bare tuples are not assignments
+
+
+def test_a_source_vertex_is_an_integer_where_the_plan_is_made():
+    # from_pairs used to truncate 1.9 to source 1, and a directly built 1.5
+    # made validate raise a bare TypeError from its connectivity search.
+    with pytest.raises(TypeError, match=r"^interval 1 of vertex 1 names source vertex 1\.9, "
+                                        r"which is not an integer$"):
+        WiringPlan.from_pairs([[(1.9, 0.3), (1, -0.3)]])
+    rows = ((IntervalAssignment(1, 0.3), IntervalAssignment(2, 0.3)),
+            (IntervalAssignment(1, 0.3), IntervalAssignment(1.5, 0.3)))
+    with pytest.raises(TypeError, match=r"^interval 2 of vertex 2 names source vertex 1\.5, "):
+        WiringPlan(rows)
+    numpy_sources = WiringPlan.from_pairs([[(np.int64(1), 0.3), (np.int64(2), -0.3)],
+                                           [(np.int64(1), 0.3), (np.int64(2), 0.3)]])
+    plan = WiringPlan.from_pairs([[(1, 0.3), (2, -0.3)], [(1, 0.3), (2, 0.3)]])
+    assert numpy_sources == plan
+    datasets = [DataSet(FLAT_POINTS), DataSet(FLAT_POINTS)]
+    assert validate(datasets, numpy_sources) == validate(datasets, plan)
 
 
 def test_interval_assignment_is_value_like():
