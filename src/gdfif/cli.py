@@ -276,10 +276,9 @@ def load_config(path, flags=None) -> ProjectConfig:
 class _UniqueKeys:
     """A loader mixin that refuses a mapping which repeats a key, where PyYAML
     keeps the last value, and a tagged scalar its constructor cannot read.
-    PyYAML flattens a mapping before building it and before merging it (<<)
-    into another; its own keys are checked the first time, so keys that a
-    merge brings in may repeat them. The first repeat in build order (a
-    mapping before those inside it, siblings in document order) is named."""
+    A mapping's own keys are checked the first time PyYAML flattens it, to build
+    it or to merge it (<<) into another, so merged keys may repeat them. The first
+    repeat in build order (outer mappings first, then document order) is named."""
 
     def __init__(self, stream):
         super().__init__(stream)
@@ -290,7 +289,8 @@ class _UniqueKeys:
             self._flattened.add(node)
             keys = set()
             for key_node, _ in node.value:
-                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
                     key = self.construct_object(key_node)
                     if key in keys:
                         raise yaml.constructor.ConstructorError(

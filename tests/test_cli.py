@@ -165,7 +165,8 @@ def test_the_first_of_two_sibling_repeats_is_named(tmp_path, capsys, monkeypatch
     path = write_config(tmp_path, "a: {b: 1, b: 2}\nc: {d: 1, d: 2}\n")
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: parse error in {path} at line 1, column 11: found a repeated key 'b'\n"
+    assert captured.err == (f"error: parse error in {path} at line 1, column 11: "
+                            "found a repeated key 'b'\n")
     assert captured.out == ""
 
 
