@@ -374,12 +374,10 @@ def _draws(seed: int, n: int, counts: list[int], steps: int):
 
 
 # Window steps double the candidates scanned per side: 1, 2, 4, ...  Points
-# still scanning after the last step in x order (many points of Q in their
-# x-strip, as on a near-vertical cloud) scan again in y order, when there
-# are more than _PROBES of them, and any left after that are finished
-# against all of Q. Distances are taken in blocks of about _BLOCK at a time.
-# After the first step up to _PROBES points with the largest bounds are
-# finished against all of Q, to lift the floor early.
+# still scanning after the last step are finished against all of Q.
+# Distances are taken in blocks of about _BLOCK at a time. After the first
+# step up to _PROBES points with the largest bounds are finished against
+# all of Q, to lift the floor early.
 _WINDOW_STEPS = 8
 _BLOCK = 1 << 16
 _PROBES = 64
@@ -396,12 +394,11 @@ def directed_hausdorff(p_points, q_points) -> float:
     points that can still raise the maximum are scanned that far. A floor,
     the largest exact best so far, rises as points finish (and as a few
     probes with the largest bounds are finished first), and a point whose
-    best is at most the floor leaves the scan. Points that crowd one
-    x-strip scan again in y order, where the same stopping rule holds.
-    Every distance is max(|dx|, |dy|) of the input doubles, so the result
-    is the exact nearest-neighbour maximum, whatever the order of the
-    input. Raises ValueError on an empty set or a coordinate that is not
-    finite.
+    best is at most the floor leaves the scan. Points still scanning after
+    the last window step are finished against all of Q. Every distance is
+    max(|dx|, |dy|) of the input doubles, so the result is the exact
+    nearest-neighbour maximum, whatever the order of the input. Raises
+    ValueError on an empty set or a coordinate that is not finite.
     """
     return _directed(_as_point_array(p_points), _as_point_array(q_points), 0.0)
 
@@ -409,103 +406,81 @@ def directed_hausdorff(p_points, q_points) -> float:
 def _directed(P, Q, floor):
     """max(floor, directed_hausdorff(P, Q)) of checked point arrays.
 
-    Q is scanned as given along an axis on which it is already ascending,
-    which one pass of comparisons shows, and sorted by that axis
-    otherwise. The result is the same double for any ascending order of
-    Q: ties in the scan axis may come in any order, and a point still
-    stops scanning only at its exact nearest distance.
+    Q is scanned as given when it is already ascending in x, which one
+    pass of comparisons shows, and sorted by x otherwise. The result is
+    the same double for any x-ascending order of Q: ties in x may come in
+    any order, and a point still stops scanning only at its exact nearest
+    distance.
     """
-    best = np.full(len(P), np.inf)
-    active = np.arange(len(P))
-    for axis in (0, 1):
-        if axis and active.size <= _PROBES:
-            break  # a few points cost less against all of Q than sorting Q by y
-        # Scan along u, the axis'th coordinate; w is the other one.
-        qu, qw = Q[:, axis], Q[:, 1 - axis]
-        if not (qu[1:] >= qu[:-1]).all():
-            order = np.argsort(qu)
-            qu, qw = qu[order], qw[order]
-        # -inf/+inf sentinels end both sides: infinitely far in u and in distance.
-        qu = np.concatenate(([-np.inf], qu, [np.inf]))
-        qw = np.concatenate(([0.0], qw, [0.0]))
-        pu, pw = np.ascontiguousarray(P[:, axis]), np.ascontiguousarray(P[:, 1 - axis])
-        floor, active = _window_scan(pu, pw, qu, qw, best, active, floor, probe=not axis)
-        if not active.size:
-            return floor
-    _finish_brute(pu, pw, qu, qw, best, active)
-    return max(floor, float(best[active].max()))
-
-
-def _window_scan(pu, pw, qu, qw, best, active, floor, probe):
-    """Scan the active points along u; return the raised floor and the
-    points still scanning after the last window step.
-
-    active holds rows of P in ascending order. When it holds every row,
-    the first step runs on whole columns, and an ascending P with more
-    points than Q and its two sentinels is located by searching Q into P
-    instead of P into Q.
-    """
-    every = active.size == len(pu)  # active is then range(len(pu))
-    if every and len(pu) > len(qu) and (pu[1:] >= pu[:-1]).all():
-        # The start below, found by the fewer searches of Q into P: start
-        # is j on the run of P from the place of qu[j - 1] to that of qu[j].
-        place = np.searchsorted(pu, qu, side="right")
-        start = np.repeat(np.arange(len(qu)), np.diff(place, prepend=0))
+    qx, qy = Q[:, 0], Q[:, 1]
+    if not (qx[1:] >= qx[:-1]).all():
+        order = np.argsort(qx)
+        qx, qy = qx[order], qy[order]
+    # -inf/+inf sentinels end both sides: infinitely far in x and in distance.
+    qx = np.concatenate(([-np.inf], qx, [np.inf]))
+    qy = np.concatenate(([0.0], qy, [0.0]))
+    px, py = np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
+    if len(px) > len(qx) and (px[1:] >= px[:-1]).all():
+        # An ascending P that outnumbers Q and its sentinels is located by the
+        # fewer searches of Q into P: start is j on the run of P from the
+        # place of qx[j - 1] to that of qx[j].
+        place = np.searchsorted(px, qx, side="right")
+        start = np.repeat(np.arange(len(qx)), np.diff(place, prepend=0))
     else:
-        start = np.zeros(len(pu), dtype=np.intp)
-        start[active] = np.searchsorted(qu, pu[active])  # qu[start - 1] < pu <= qu[start]
+        start = np.searchsorted(qx, px)  # qx[start - 1] < px <= qx[start]
+    best = np.full(len(px), np.inf)
+    active = np.arange(len(px))
     for step in range(_WINDOW_STEPS):
         width = 1 << step  # the steps before covered width - 1 per side
-        if step == 0 and every:
-            # Each point's two neighbours in u, start - 1 and start, which
+        if step == 0:
+            # Each point's two neighbours in x, start - 1 and start, which
             # the sentinels keep in range: no row gathers and no clip.
             for j in (start - 1, start):
-                du, dw = qu[j], qw[j]
-                du -= pu
-                dw -= pw
-                np.abs(du, out=du)
-                np.abs(dw, out=dw)
-                np.minimum(best, np.maximum(du, dw, out=du), out=best)
+                dx, dy = qx[j], qy[j]
+                dx -= px
+                dy -= py
+                np.abs(dx, out=dx)
+                np.abs(dy, out=dy)
+                np.minimum(best, np.maximum(dx, dy, out=dx), out=best)
+            floor = _probe(px, py, qx, qy, best, floor)
         else:
             offsets = np.arange(width - 1, 2 * width - 1)
             offsets = np.concatenate((offsets, -1 - offsets))[:, None]
             # Candidates run down axis 0, so the min is elementwise across rows.
             for k in _blocks(active, len(offsets)):
-                j = np.clip(start[k] + offsets, 0, len(qu) - 1)
-                du, dw = qu[j], qw[j]
-                du -= pu[k]
-                dw -= pw[k]
-                best[k] = np.minimum(best[k], _max_norm_min(du, dw, axis=0))
-        if probe and step == 0:
-            floor = _probe(pu, pw, qu, qw, best, active, floor)
+                j = np.clip(start[k] + offsets, 0, len(qx) - 1)
+                dx, dy = qx[j], qy[j]
+                dx -= px[k]
+                dy -= py[k]
+                best[k] = np.minimum(best[k], _max_norm_min(dx, dy, axis=0))
         # A point at or below the floor cannot raise the maximum.
         b = best[active]
         above = b > floor
         active, b = active[above], b[above]
-        u, c = pu[active], start[active]
-        right = np.minimum(c + 2 * width - 1, len(qu) - 1)
+        x, c = px[active], start[active]
+        right = np.minimum(c + 2 * width - 1, len(qx) - 1)
         left = np.maximum(c - 2 * width, 0)
-        scanning = (qu[right] - u < b) | (u - qu[left] < b)
+        scanning = (qx[right] - x < b) | (x - qx[left] < b)
         # A point that stopped scanning has its exact nearest distance.
         floor = float(b.max(initial=floor, where=~scanning))
         active = active[scanning]
         if not active.size:
-            break
-    return floor, active
+            return floor
+    _finish_brute(px, py, qx, qy, best, active)
+    return max(floor, float(best[active].max()))
 
 
-def _probe(px, py, qx, qy, best, rows, floor):
-    """Finish against all of Q the rows, of the few with the largest bounds,
-    that are above the floor; return the floor raised to their largest
-    exact distance.
+def _probe(px, py, qx, qy, best, floor):
+    """Finish against all of Q the points, of the few with the largest
+    bounds, that are above the floor; return the floor raised to their
+    largest exact distance.
 
-    At most _PROBES rows are finished, and no more than make the work of
+    At most _PROBES points are finished, and no more than make the work of
     the first window step, two distances per point of P: a P much smaller
     than Q runs no probe.
     """
     count = min(_PROBES, 2 * len(px) // len(qx))
-    if rows.size > count:
-        rows = rows[np.argpartition(best[rows], -count)[rows.size - count:]]
+    rows = np.argpartition(best, -count)[len(best) - count:]
     rows = rows[best[rows] > floor]
     if not rows.size:
         return floor

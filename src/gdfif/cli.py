@@ -267,8 +267,12 @@ def load_config(path, flags=None) -> ProjectConfig:
         raw = _safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
+        if isinstance(exc, yaml.reader.ReaderError):
+            # No mark; before the first forbidden character, splitlines breaks as YAML does.
+            head = (text[:exc.position] + "^").splitlines()
+            mark = yaml.Mark(str(path), exc.position, len(head) - 1, len(head[-1]) - 1, None, None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or str(exc)
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         raise ConfigError(f"parse error in {path}{where}: {problem}") from None
     return _parse_config(raw, path, flags or {})
 
@@ -277,27 +281,28 @@ class _UniqueKeys:
     """A loader mixin that refuses a mapping which repeats a key, where PyYAML
     keeps the last value, and a tagged scalar its constructor cannot read.
     A mapping's own keys are checked the first time PyYAML flattens it, to build
-    it or to merge it (<<) into another, so merged keys may repeat them. The first
-    repeat in build order (outer mappings first, then document order) is named."""
+    it or to merge it (<<) into another, so merged keys may repeat them, and after
+    the parent hook, which retags a value key (=) as a string. The first repeat in
+    build order (outer mappings first, a merged one before its host) is named."""
 
     def __init__(self, stream):
         super().__init__(stream)
         self._flattened = set()
 
     def flatten_mapping(self, node):
-        if node not in self._flattened:
-            self._flattened.add(node)
-            keys = set()
-            for key_node, _ in node.value:
-                if (isinstance(key_node, yaml.ScalarNode)
-                        and key_node.tag != "tag:yaml.org,2002:merge"):
-                    key = self.construct_object(key_node)
-                    if key in keys:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            f"found a repeated key {key!r}", key_node.start_mark)
-                    keys.add(key)
+        own = [] if node in self._flattened else [
+            key for key, _ in node.value
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge"]
+        self._flattened.add(node)
         super().flatten_mapping(node)
+        keys = set()
+        for key_node in own:
+            key = self.construct_object(key_node)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found a repeated key {key!r}", key_node.start_mark)
+            keys.add(key)
 
     def construct_object(self, node, deep=False):
         # What a scalar constructor raises on text it cannot read, as `!!timestamp x`.

@@ -689,15 +689,14 @@ def test_directed_hausdorff_matches_brute_force(rng, monkeypatch):
         assert directed_hausdorff(p, q) == directed_hausdorff_reference(p, q)
         assert directed_hausdorff(q, p) == directed_hausdorff_reference(q, p)
     finished.clear()
-    # Every point of one vertical line has all of the other in its x-strip.
-    # The scan in y order finishes them: only the one probe is finished
-    # against all of Q.
+    # Every point of one vertical line has all of the other in its x-strip,
+    # so no window step ends its scan: after the one probe, the points
+    # above the floor, nearly all of them, are finished against all of Q.
     want = directed_hausdorff_on_a_vertical_line(column, column_q)
     assert directed_hausdorff(column, column_q) == want
-    assert finished == [1]
+    assert finished[0] == 1 and len(finished) == 2 and finished[1] > 0.9 * len(column)
     # Points in the gap at the centre of a cross have one arm in their
-    # x-strip and the other in their y-strip, so both scans leave them all
-    # to the finish against all of Q.
+    # x-strip, so the scan leaves them all to the finish against all of Q.
     finished.clear()
     arm = rng.uniform(0.1, 1.0, 5000) * rng.choice((-1.0, 1.0), 5000)
     cross = np.vstack((np.column_stack((np.zeros(5000), arm)),
@@ -754,6 +753,28 @@ def test_hausdorff_distance_matches_brute_force_on_clouds(name):
     family, clouds = _solved(name)
     for cloud, fn in zip(clouds, family):
         assert_hausdorff_matches_reference(cloud.points, fn.as_points())
+
+
+def test_hausdorff_finishes_a_steep_graph_against_all_of_q(monkeypatch):
+    # example1 with y scaled by 1000. Each curve node has a steep run of
+    # cloud points in its x-strip, so over a hundred nodes are still
+    # scanning after the last window step. The curve is much smaller than
+    # the cloud and runs no probe: all of them are finished against the
+    # whole cloud, more rows than any probe takes.
+    finished = []
+    finish = attractor._finish_brute
+    monkeypatch.setattr(attractor, "_finish_brute",
+                        lambda *a: finished.append(len(a[-1])) or finish(*a))
+    cfg, _ = bundled_system("example1")
+    steep = tuple(DataSet(tuple((x, 1e3 * y) for x, y in ds.points)) for ds in cfg.datasets)
+    system = build_system(steep, cfg.plan, cfg.condition3_mode)
+    (fn,) = fixed_point(system, cfg.resolution).family
+    (cloud,) = iterate_attractor(system, 8, 1e-3 * 1e3 ** 0.5)
+    curve = fn.as_points()
+    assert_hausdorff_matches_reference(cloud.points, curve)
+    finished.clear()
+    directed_hausdorff(curve, cloud.points)
+    assert len(finished) == 1 and finished[0] > attractor._PROBES
 
 
 def test_hausdorff_maximum_held_by_a_point_that_is_no_probe(monkeypatch):
@@ -844,7 +865,12 @@ def test_hausdorff_on_inputs_already_in_x_order(rng, monkeypatch):
         assert_hausdorff_matches_reference(p, q)
     # A P whose halves come in the wrong order steps back in x once. It is
     # located point by point: located as if ascending, nearly every point
-    # would start half the span away, scan on in y and sort Q by y.
+    # would start half the span away from its place in Q and be finished
+    # against all of Q. Only the probes are.
+    finished = []
+    finish = attractor._finish_brute
+    monkeypatch.setattr(attractor, "_finish_brute",
+                        lambda *a: finished.append(len(a[-1])) or finish(*a))
     nodes = np.linspace(-1.0, 1.0, 2001)
     fine = np.column_stack((nodes, np.sin(3 * nodes)))
     x = np.sort(rng.uniform(-1.0, 1.0, 5000))
@@ -853,7 +879,8 @@ def test_hausdorff_on_inputs_already_in_x_order(rng, monkeypatch):
     calls.clear()
     assert directed_hausdorff(halves, fine).hex() == directed_hausdorff_reference(halves, fine).hex()
     assert calls == []
-    # One Q given sorted and shuffled; P has too few points to scan in y.
+    assert finished == [2 * 5000 // 2003]
+    # One Q given sorted and shuffled: only the shuffled one is sorted.
     want = directed_hausdorff_reference(curve, cloud).hex()
     assert directed_hausdorff(curve, cloud).hex() == want
     assert calls == []

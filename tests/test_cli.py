@@ -207,6 +207,29 @@ def test_keys_a_merge_key_brings_in_may_be_overridden(tmp_path, monkeypatch, wit
     assert _safe_load(nested) == {"base": {"k": 1}, "a": {"inner": {"k": 2}}, "c": {"k": 2}}
 
 
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+@pytest.mark.parametrize("text", ["=: 1\n", "a: {=: 1, b: 2}\n"], ids=["top-level", "nested"])
+def test_a_value_key_is_read_as_safe_load_reads_it(monkeypatch, with_libyaml, text):
+    # The key was built before PyYAML retagged it as a string: a parse error.
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    assert _safe_load(text) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize("with_libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["libyaml", "python"])
+def test_a_forbidden_character_is_one_parse_error_with_its_place(tmp_path, capsys, monkeypatch,
+                                                                 with_libyaml):
+    # PyYAML's ReaderError has no mark: the message was two lines, with no line or column.
+    monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
+    path = write_config(tmp_path, MINIMAL + "name: a\x01b\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: parse error in {path} at line 7, column 8: "
+                            "unacceptable character #x0001: special characters are not allowed\n")
+    assert captured.out == ""
+
+
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config(write_config(tmp_path, MINIMAL + "extra: 1\n"))
@@ -675,6 +698,14 @@ def test_a_check_the_data_fails_past_validate_is_one_error_line(tmp_path, capsys
     proc = _run_python("-m", "gdfif", "run", cfg, "--outdir", str(tmp_path / "out"),
                        cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("output", ["svg", "pgm"])
+def test_too_many_panels_for_the_canvas_is_one_error_line(tmp_path, capsys, output):
+    # The same run as the 22-panels case above, in this process, for each renderer.
+    cfg = write_config(tmp_path, yaml.safe_dump({**_panels(22), "outputs": {output: "p"}}))
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: canvas too small for the requested panel count\n")
 
 
 def test_the_float_range_failure_is_warnings_clean(tmp_path):
