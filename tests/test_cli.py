@@ -211,7 +211,8 @@ def test_keys_a_merge_key_brings_in_may_be_overridden(tmp_path, monkeypatch, wit
                          ids=["libyaml", "python"])
 @pytest.mark.parametrize("text", ["=: 1\n", "a: {=: 1, b: 2}\n"], ids=["top-level", "nested"])
 def test_a_value_key_is_read_as_safe_load_reads_it(monkeypatch, with_libyaml, text):
-    # The key was built before PyYAML retagged it as a string: a parse error.
+    # PyYAML's own flatten_mapping retags the value key as a string, so the keys
+    # are checked after it.
     monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
     assert _safe_load(text) == yaml.safe_load(text)
 
@@ -220,7 +221,7 @@ def test_a_value_key_is_read_as_safe_load_reads_it(monkeypatch, with_libyaml, te
                          ids=["libyaml", "python"])
 def test_a_forbidden_character_is_one_parse_error_with_its_place(tmp_path, capsys, monkeypatch,
                                                                  with_libyaml):
-    # PyYAML's ReaderError has no mark: the message was two lines, with no line or column.
+    # PyYAML's ReaderError has no mark: the line and column come from its position.
     monkeypatch.setattr(yaml, "__with_libyaml__", with_libyaml)
     path = write_config(tmp_path, MINIMAL + "name: a\x01b\n")
     assert main(["validate", str(path)]) == 2
