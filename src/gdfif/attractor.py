@@ -16,10 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .maps import GifsSystem, _refuse_non_finite, transform_points
+from .model import _check_vertex_order
 
 
 class CloudBudgetError(RuntimeError):
-    """The next generation would exceed the configured point budget."""
+    """The next generation would hold more than `_MAX_POINTS` points."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +58,7 @@ class AttractorCloud:
     def _box(self) -> tuple[float, float, float, float]:
         """(x lo, x hi, y lo, y hi), a box that encloses every point.
 
-        The step and the dedup hand theirs on (see `_image_box`); any other
+        The step and the dedup hand theirs on (see `hutchinson_step`); any other
         cloud takes its points' exact extremes, NaN when a point holds one.
         """
         x = self.points[:, 0]
@@ -76,65 +77,60 @@ def data_clouds(system: GifsSystem) -> tuple[AttractorCloud, ...]:
     )
 
 
-def _check_clouds(system: GifsSystem, clouds):
-    clouds = tuple(clouds)
-    if len(clouds) != system.n:
-        raise ValueError(f"expected {system.n} clouds, got {len(clouds)}")
-    for k, cloud in enumerate(clouds, start=1):
-        if cloud.vertex != k:
-            raise ValueError(f"expected vertex {k} at position {k - 1}, got {cloud.vertex}")
-    return clouds
+# The most points one generation may hold before deduplication.
+_MAX_POINTS = 10_000_000
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an image past the float range raises below
 def hutchinson_step(system: GifsSystem, clouds) -> tuple[AttractorCloud, ...]:
     """One set-valued step: each vertex becomes the union of its maps' images.
 
-    The images are stored column-major, so each coordinate is one
-    contiguous run for the step that reads it next. Each new cloud carries
-    the box its sources' boxes map to (`_image_box`); only when that box
-    is not finite are the images scanned. Raises ValueError naming the
+    The image rows are counted from the wiring before any image is made,
+    and a CloudBudgetError is raised when they pass `_MAX_POINTS`. The
+    images are stored column-major, so each coordinate is one contiguous
+    run for the step that reads it next. Raises ValueError naming the
     vertex when an image leaves the float range.
+
+    Each new cloud carries a box that encloses its images, built map by
+    map from the sources' boxes. Each term of `transform_points` is
+    monotone in x and in y (a > 0, c and d of either sign), and so is its
+    rounding. Evaluated on the source box's ends in the same order of
+    rounding, x*a + e and (y*d + c*x) + f bound every image as it is
+    rounded. The x ends map to the x ends, so an exact x range stays
+    exact; the y range can widen, as the two terms may take their extremes
+    at different corners. Python's min and max can drop a NaN, so the box
+    is kept only when every term is finite; only when one is not are the
+    images scanned.
     """
-    clouds = _check_clouds(system, clouds)
+    clouds = tuple(clouds)
+    if len(clouds) != system.n:
+        raise ValueError(f"expected {system.n} clouds, got {len(clouds)}")
+    _check_vertex_order(cloud.vertex for cloud in clouds)
+    sizes = [sum(len(clouds[m.source_vertex - 1]) for m in maps) for maps in system.maps]
+    if sum(sizes) > _MAX_POINTS:
+        raise CloudBudgetError(f"next generation would hold {sum(sizes)} points, cap is "
+                               f"{_MAX_POINTS}; use fewer generations or a larger dedup_tol")
     out = []
-    for alpha in range(1, system.n + 1):
-        maps = system.maps_for(alpha)
-        sources = [clouds[m.source_vertex - 1] for m in maps]
-        images = np.empty((sum(map(len, sources)), 2), order="F")
+    for alpha, (maps, size) in enumerate(zip(system.maps, sizes), start=1):
+        images = np.empty((size, 2), order="F")
+        terms = []
         lo = 0
-        for m, src in zip(maps, sources):
+        for m in maps:
+            a, c, d, e, f, source = m
+            src = clouds[source - 1]
             transform_points(m, src.points, out=images[lo:lo + len(src)])
             lo += len(src)
-        box = _image_box(maps, sources)
-        if box is None:
+            x0, x1, y0, y1 = src._box
+            dy = (y0 * d, y1 * d)
+            cx = (c * x0, c * x1)
+            terms += (x0 * a + e, x1 * a + e, (min(dy) + min(cx)) + f, (max(dy) + max(cx)) + f,
+                      *dy, *cx)
+        box = (min(terms[0::8]), max(terms[1::8]), min(terms[2::8]), max(terms[3::8]))
+        if not all(map(math.isfinite, terms)):
             _refuse_non_finite(images, alpha)
+            box = None
         out.append(AttractorCloud._adopt(alpha, images, clouds[alpha - 1].generation + 1, box))
     return tuple(out)
-
-
-def _image_box(maps, sources) -> tuple[float, float, float, float] | None:
-    """A box that encloses every image of the sources' points under the
-    maps, or None when one of its terms is not finite.
-
-    Each term of `transform_points` is monotone in x and in y (a > 0, c and
-    d of either sign), and so is its rounding. Evaluated on the source
-    box's ends in the same order of rounding, x*a + e and (y*d + c*x) + f
-    bound every image as it is rounded. The x ends map to the x ends, so an
-    exact x range stays exact; the y range can widen, as the two terms may
-    take their extremes at different corners. Python's min and max can
-    drop a NaN, so every term is checked before they are taken.
-    """
-    terms = []
-    for (a, c, d, e, f, _), src in zip(maps, sources):
-        x0, x1, y0, y1 = src._box
-        dy = (y0 * d, y1 * d)
-        cx = (c * x0, c * x1)
-        terms += (x0 * a + e, x1 * a + e, (min(dy) + min(cx)) + f, (max(dy) + max(cx)) + f,
-                  *dy, *cx)
-    if not all(map(math.isfinite, terms)):
-        return None
-    return (min(terms[0::8]), max(terms[1::8]), min(terms[2::8]), max(terms[3::8]))
 
 
 # Packed dedup keys are int64: the cell number above the row index.
@@ -241,10 +237,6 @@ def _take_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-# The most points one generation may hold before deduplication.
-_MAX_POINTS = 10_000_000
-
-
 def iterate_attractor(
     system: GifsSystem,
     generations: int,
@@ -253,10 +245,9 @@ def iterate_attractor(
     """Iterate the set-valued step from the data points.
 
     Clouds are deduplicated on a grid of size `dedup_tolerance`, finite and
-    at least 0, after each generation (pass 0 to disable). Before each step
-    the undeduplicated size of the next generation is predicted from the
-    wiring; if it exceeds `_MAX_POINTS` a CloudBudgetError is raised instead
-    of allocating it.
+    at least 0, after each generation (pass 0 to disable). Each generation
+    is one `hutchinson_step`, which raises CloudBudgetError instead of
+    making a generation of more than `_MAX_POINTS` points.
     """
     if generations < 1:
         raise ValueError("generations must be at least 1")
@@ -266,12 +257,6 @@ def iterate_attractor(
         raise ValueError("dedup_tolerance must be finite, got inf")
     clouds = data_clouds(system)
     for _ in range(generations):
-        predicted = sum(len(clouds[m.source_vertex - 1]) for row in system.maps for m in row)
-        if predicted > _MAX_POINTS:
-            raise CloudBudgetError(
-                f"next generation would hold {predicted} points, cap is {_MAX_POINTS}; "
-                f"use fewer generations or a larger dedup_tol"
-            )
         clouds = hutchinson_step(system, clouds)
         if dedup_tolerance > 0:
             clouds = tuple(
@@ -447,7 +432,7 @@ def _directed(P, Q, floor):
             offsets = np.arange(width - 1, 2 * width - 1)
             offsets = np.concatenate((offsets, -1 - offsets))[:, None]
             # Candidates run down axis 0, so the min is elementwise across rows.
-            for k in _blocks(active, len(offsets)):
+            for k in _batches(active, len(offsets)):
                 j = np.clip(start[k] + offsets, 0, len(qx) - 1)
                 dx, dy = qx[j], qy[j]
                 dx -= px[k]
@@ -490,12 +475,12 @@ def _probe(px, py, qx, qy, best, floor):
 
 def _finish_brute(px, py, qx, qy, best, rows):
     """Set best[rows] to each p's nearest max-norm distance over all of q."""
-    for k in _blocks(rows, len(qx)):
+    for k in _batches(rows, len(qx)):
         best[k] = _max_norm_min(qx - px[k, None], qy - py[k, None], axis=1)
 
 
-def _blocks(rows, width):
-    """Split rows into blocks of about _BLOCK // width."""
+def _batches(rows, width):
+    """Split rows into batches of about _BLOCK // width rows."""
     step = max(1, _BLOCK // width)
     return (rows[lo:lo + step] for lo in range(0, len(rows), step))
 

@@ -167,7 +167,7 @@ def read_points_csv(path) -> list[tuple[int, float, float]]:
         with open(path, newline="", encoding="utf-8") as fh:
             records = [(lineno, rec) for lineno, rec in enumerate(csv.reader(fh), start=1) if rec]
             for k, (lineno, rec) in enumerate(records):
-                if k == 0 and not _is_number(rec[-1]):
+                if k == 0 and not any(map(_is_number, rec)):
                     continue  # header row
                 try:
                     if len(rec) == 3:

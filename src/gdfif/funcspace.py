@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .maps import GifsSystem, _refuse_non_finite
-from .model import DataSet
+from .model import DataSet, _check_vertex_order
 
 
 class ConvergenceError(RuntimeError):
@@ -98,9 +98,7 @@ class FunctionFamily:
         fns = tuple(self.functions)
         if not fns:
             raise ValueError("a family needs at least one function")
-        for k, fn in enumerate(fns, start=1):
-            if fn.vertex != k:
-                raise ValueError(f"expected vertex {k} at position {k - 1}, got {fn.vertex}")
+        _check_vertex_order(fn.vertex for fn in fns)
         object.__setattr__(self, "functions", fns)
 
     @property

@@ -115,6 +115,13 @@ class WiringPlan:
         ))
 
 
+def _check_vertex_order(vertices) -> None:
+    """Raise ValueError unless the vertices run 1, 2, ... in order."""
+    for k, v in enumerate(vertices, start=1):
+        if v != k:
+            raise ValueError(f"expected vertex {k} at position {k - 1}, got {v}")
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed check: a stable code, a human message, and the indices involved.

@@ -328,20 +328,20 @@ def test_dedup_matches_unique_reference(rng, monkeypatch):
     pts = np.vstack([on_boundaries, jittered, cells, cells[:100], [[-0.0, 0.0], [0.0, -0.0]]])
     # 2**31 x 2**30 cells above 2 row-index bits fill the 63 bits exactly: the
     # last row, in the last cell, packs to 2**63 - 1. One more row of cells
-    # does not fit and takes the lexsort.
+    # does not fit and takes the np.unique fallback.
     lo, hi = -2.0**30, 2.0**30 - 1
     at_limit = np.array([[lo, 0.0], [hi, 2.0**30 - 1], [lo, 0.0], [hi, 2.0**30 - 1]])
     past_limit = at_limit + [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]]
     cases = [(pts, t, False) for t in (tol, 1e-3, 3.0)]
     cases += [(pts, 1e-15, True), (at_limit, 1.0, False), (past_limit, 1.0, True),
               (np.array([[1.0, 2.0]]), tol, False)]
-    for points, t, lexsorted in cases:
+    for points, t, by_unique in cases:
         # row-major input, and the column-major clouds that the step makes
         for layout in (points, np.asfortranarray(points)):
-            got, took_lexsort = _dedup_spied(layout, t, monkeypatch)
+            got, took_unique = _dedup_spied(layout, t, monkeypatch)
             assert bits(got) == bits(dedup_reference(points, t))
             assert got.flags.f_contiguous
-            assert took_lexsort == lexsorted
+            assert took_unique == by_unique
     assert np.array_equal(_dedup(at_limit, 1.0), at_limit[:2])
 
 
@@ -355,8 +355,8 @@ def test_dedup_keeps_cells_numbered_past_int64(rng, monkeypatch):
     k = np.arange(12)[:, None]
     near = 1e4 + 4 * np.spacing(1e4) * np.hstack([k // 2, k % 3])
     for points, tol in ((uniform, 1e-18), (uniform, 1e-300), (near, 1e-15), (-near, 1e-15)):
-        got, took_lexsort = _dedup_spied(points, tol, monkeypatch)
-        assert took_lexsort
+        got, took_unique = _dedup_spied(points, tol, monkeypatch)
+        assert took_unique
         assert np.array_equal(got, dedup_float_reference(points, tol))
     assert len(_dedup(uniform, 1e-300)) == 1000
     assert len(_dedup(near, 1e-15)) == 12
@@ -394,12 +394,12 @@ def test_blocked_dedup_matches_references_across_block_edges(block, rng, monkeyp
         cases = [(pts, tol, False), (ties, tol, False), (-ties, tol, False),
                  (one_cell, tol, False), (pts + 1.0, 1e-19, True),  # cells past int64
                  (runs, tol, False), (back, tol, False), (seams, tol, False)]
-        for points, t, lexsorted in cases:
+        for points, t, by_unique in cases:
             for layout in (points, np.asfortranarray(points)):
-                got, took_lexsort = _dedup_spied(layout, t, monkeypatch)
-                assert took_lexsort == lexsorted
+                got, took_unique = _dedup_spied(layout, t, monkeypatch)
+                assert took_unique == by_unique
                 assert bits(got) == bits(dedup_float_reference(points, t))
-                if not lexsorted:
+                if not by_unique:
                     assert bits(got) == bits(dedup_reference(points, t))
                     # The sort sees each row that starts a new cell, and no other.
                     rows, key = _sorted_rows(layout, t, monkeypatch)

@@ -1,5 +1,7 @@
 """Set-valued attractor iteration and Hausdorff comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,27 @@ def test_iterate_attractor_budget_guard(ex1_system, monkeypatch):
     monkeypatch.setattr(attractor, "_MAX_POINTS", 10_000)
     with pytest.raises(CloudBudgetError, match="cap is 10000; use fewer generations or a larger"):
         iterate_attractor(ex1_system, 20, 1e-9)
+
+
+def test_hutchinson_step_checks_the_budget_before_it_makes_an_image(ex1_system, monkeypatch):
+    # A loop of bare steps, with no dedup, is held to the cap as well.
+    clouds = data_clouds(ex1_system)
+    for _ in range(9):
+        clouds = hutchinson_step(ex1_system, clouds)
+    size = 3 * len(clouds[0])  # three maps, each from vertex 1
+    monkeypatch.setattr(attractor, "_MAX_POINTS", size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CloudBudgetError, match=rf"^next generation would hold {size} points, "
+                           rf"cap is {size - 1}; use fewer generations or a larger dedup_tol$"):
+            hutchinson_step(ex1_system, clouds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The images would take 16 bytes a point.
+    assert peak < 16 * size / 20
+    monkeypatch.setattr(attractor, "_MAX_POINTS", size)
+    assert len(hutchinson_step(ex1_system, clouds)[0]) == size
 
 
 def test_chaos_game_flat(flat_system):

@@ -364,6 +364,9 @@ ONE_POINTS = "points: [[0, 0], [1, 1], [2, 0]]"
     ("d: 0.3}", "d: [0.3]}", None, "wiring 1 interval 1 d: expected a number, got list"),
     (ONE_POINTS, "csv: pts.csv", "x,y\n0,0\n1,1,1,1\n", "{dir}/pts.csv: bad row 3: 4 columns"),
     (ONE_POINTS, "csv: pts.csv", "x,y\n", "{dir}/pts.csv: no data rows"),
+    # A first row with a number in it is data, not a header, even when it is bad.
+    (ONE_POINTS, "csv: pts.csv", "0,abc\n3,5\n6,4\n10,1\n",
+     "{dir}/pts.csv: bad row 1: could not convert string to float: 'abc'"),
     ("datasets:\n  - " + ONE_POINTS, "datasets: []", None,
      "'datasets' must be a nonempty list, one entry per vertex"),
     (ONE_POINTS, "{%s, csv: pts.csv}" % ONE_POINTS, None,
@@ -379,7 +382,7 @@ ONE_POINTS = "points: [[0, 0], [1, 1], [2, 0]]"
     ("wiring:", "condition3_mode: loose\nwiring:", None,
      f"{{cfg}}: condition3_mode must be one of {list(CONDITION3_MODES)}, got 'loose'"),
 ], ids=["boolean", "bad-fraction", "unparsable", "not-a-number", "csv-columns", "csv-no-rows",
-        "no-datasets", "points-and-csv", "no-points", "not-a-pair", "no-wiring", "two-forms",
+        "csv-bad-first-row", "no-datasets", "points-and-csv", "no-points", "not-a-pair", "no-wiring", "two-forms",
         "empty-form", "condition3-mode"])
 def test_each_config_error_is_one_error_line(tmp_path, capsys, old, new, data, message):
     if data is not None:
